@@ -1,36 +1,33 @@
-//! **Engine derby** — all four hot-path engines raced head to head on
+//! **Engine derby** — every hot-path engine raced head to head on
 //! identical batched workloads.
 //!
 //! For every parameter set (LightSaber / Saber / FireSaber) and every
 //! batch size in {1, 4, 16, 64}, each engine in [`EngineKind::ALL`]
 //! multiplies the same `B` public polynomials against one shared
 //! secret through its `multiply_batch` path — the shape the service
-//! layer's mat-vec and KEM traffic produces, where the batched engines
-//! amortize their per-secret precomputation (bucket builds, Toom
-//! evaluation points, forward NTT of `s`) across the batch.
+//! layer's mat-vec and KEM traffic produces, where the secret-caching
+//! engines amortize their per-secret precomputation (bucket builds,
+//! packed rows) across the batch and the constant-time `ct` engine
+//! deliberately does not.
 //!
 //! Emits `BENCH_derby.json` via
 //! [`DerbyReport`](saber_bench::tables::DerbyReport): per-cell
 //! winners and every engine's speedup against the `cached` baseline —
-//! the numbers the README "Engines" table quotes. Also runs the
-//! startup auto-tuner once and prints its per-candidate timings, so a
-//! derby run shows what `SABER_ENGINE=auto` would have picked on this
-//! host.
+//! the numbers the README "Engines" table quotes.
 
 use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::tables::DerbyReport;
 use saber_kem::params::ALL_PARAMS;
-use saber_ring::{autotune, EngineKind, PolyQ, SecretPoly};
+use saber_ring::{EngineKind, PolyQ, SecretPoly};
 
 /// Batch sizes raced, from the single-product degenerate case (no
 /// amortization possible) to a full 64-product burst.
 const BATCHES: [usize; 4] = [1, 4, 16, 64];
 
-/// Seed for the workload stream (distinct from the auto-tuner's so the
-/// derby is not measuring the calibration workload itself).
+/// Seed for the workload stream.
 const SEED: u64 = 0x5ABE_DE4B;
 
-/// xorshift64* — the same generator the auto-tuner uses.
+/// xorshift64*.
 fn next(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x >> 12;
@@ -50,7 +47,7 @@ fn workload(bound: i8, batch: usize, state: &mut u64) -> (Vec<PolyQ>, SecretPoly
 }
 
 fn main() {
-    println!("\n=== Engine derby: cached vs swar vs toom vs ntt, batched hot path ===\n");
+    println!("\n=== Engine derby: cached vs swar vs ct, batched hot path ===\n");
 
     let mut criterion = Criterion::default().configure_from_args();
     let mut report = DerbyReport::default();
@@ -71,7 +68,7 @@ fn main() {
         }
         group.finish();
         // Harvest this set's cells: ids look like
-        // `engine_derby/Saber/toom_b16`; per-batch-call means divide
+        // `engine_derby/Saber/ct_b16`; per-batch-call means divide
         // down to per-product so cells compare across batch sizes.
         for (id, m) in criterion.results() {
             let Some(rest) = id.strip_prefix(&format!("engine_derby/{}/", params.name)) else {
@@ -89,18 +86,6 @@ fn main() {
     }
 
     println!("\n{}", report.format_text());
-
-    // What would SABER_ENGINE=auto have picked here? Run the startup
-    // calibration once and show its per-candidate totals.
-    let calibration = autotune::calibrate();
-    println!("auto-tuner verdict: {}", calibration.chosen.label());
-    for sample in &calibration.samples {
-        println!(
-            "  {:<8} {:>12} ns total on the calibration workload",
-            sample.engine.label(),
-            sample.total_nanos
-        );
-    }
 
     let json = report.to_json();
     let path = "BENCH_derby.json";

@@ -10,7 +10,7 @@
 //! - `positive-control`: the `saber_core::fault::TimingFault` mutants —
 //!   bit-exact products with secret-dependent timing that the detector
 //!   must flag, or a passing gate proves nothing.
-//! - `survey`: the variable-time engines (cached/swar/toom/ntt). Their
+//! - `survey`: the variable-time engines (cached/swar). Their
 //!   t-statistics are informative — zero-skip caches and sign branches
 //!   *should* light up here — and never fail the report.
 //!

@@ -250,8 +250,7 @@ impl BatchBenchReport {
 /// Unlike [`BatchBenchReport`] (one baseline, one challenger) the derby
 /// is many-way, so the document carries a per-cell `winners` section
 /// and the speedup of *every* engine against the `cached` baseline —
-/// the numbers the README "Engines" table and the auto-tuner sanity
-/// gate (`auto` never slower than `cached`) are read from.
+/// the numbers the README "Engines" table is read from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DerbyReport {
     /// All recorded data points (`op` is `batch1`/`batch4`/…; `backend`
@@ -864,8 +863,9 @@ impl TimingReport {
         });
     }
 
-    /// Slowdown of the ct engine vs the cached baseline (e.g. `1.8`
-    /// means the constant-time scan costs 1.8× a cached multiply).
+    /// Cost of the ct engine relative to the cached baseline (e.g. `1.8`
+    /// means the constant-time scan costs 1.8× a cached multiply; below
+    /// 1 it is the faster of the two).
     #[must_use]
     pub fn ct_overhead(&self) -> Option<f64> {
         (self.cached_ns_per_product > 0.0 && self.ct_ns_per_product > 0.0)
@@ -949,10 +949,10 @@ mod tests {
         let mut r = DerbyReport::default();
         r.push("Saber", 16, "cached", 1000.0);
         r.push("Saber", 16, "swar", 500.0);
-        r.push("Saber", 16, "toom", 2000.0);
+        r.push("Saber", 16, "slow", 2000.0);
         assert_eq!(r.winner("Saber", 16).unwrap().backend, "swar");
         assert_eq!(r.speedup_vs_cached("Saber", 16, "swar"), Some(2.0));
-        assert_eq!(r.speedup_vs_cached("Saber", 16, "toom"), Some(0.5));
+        assert_eq!(r.speedup_vs_cached("Saber", 16, "slow"), Some(0.5));
         assert_eq!(r.speedup_vs_cached("Saber", 4, "swar"), None, "unmeasured cell");
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"engine_derby\""));
@@ -961,7 +961,7 @@ mod tests {
         assert!(json.contains("\"op\": \"batch16\", \"engine\": \"swar\""));
         let text = r.format_text();
         assert!(text.lines().any(|l| l.contains("swar") && l.contains('◀')));
-        assert!(!text.lines().any(|l| l.contains("toom") && l.contains('◀')));
+        assert!(!text.lines().any(|l| l.contains("slow") && l.contains('◀')));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use std::path::Path;
 
+use saber_ring::EngineKind;
 use saber_testkit::json::{parse, Value};
 
 /// Field type expectations, matching what each bench writer emits.
@@ -288,6 +289,61 @@ fn timing_report_verdicts_are_pass_or_leak() {
             "unknown timing verdict {verdict:?}"
         );
     }
+}
+
+/// Labels of the selectable engines, in [`EngineKind::ALL`] order.
+fn engine_labels() -> Vec<&'static str> {
+    EngineKind::ALL.iter().map(|k| k.label()).collect()
+}
+
+/// Every derby cell races exactly the selectable engines: a report
+/// regenerated before an engine was added or retired fails here.
+#[test]
+fn derby_report_covers_exactly_the_selectable_engines() {
+    let doc = load("BENCH_derby.json");
+    let entries = doc.get("entries").and_then(Value::as_array).expect("entries");
+    let mut cells: Vec<(&str, &str)> = Vec::new();
+    for e in entries {
+        let cell = (
+            e.str_field("params").expect("params"),
+            e.str_field("op").expect("op"),
+        );
+        if !cells.contains(&cell) {
+            cells.push(cell);
+        }
+    }
+    for (params, op) in cells {
+        let engines: Vec<&str> = entries
+            .iter()
+            .filter(|e| {
+                e.str_field("params").ok() == Some(params) && e.str_field("op").ok() == Some(op)
+            })
+            .map(|e| e.str_field("engine").expect("engine"))
+            .collect();
+        assert_eq!(engines, engine_labels(), "{params}/{op}: engine set");
+    }
+}
+
+/// The timing report surveys exactly the selectable engines, its
+/// controls hold, and the constant-time engine is the clean one.
+#[test]
+fn timing_report_controls_hold_over_the_selectable_engines() {
+    let doc = load("BENCH_timing.json");
+    assert!(
+        matches!(doc.get("controls_hold"), Some(Value::Bool(true))),
+        "BENCH_timing.json: controls_hold must be true"
+    );
+    let entries = doc.get("entries").and_then(Value::as_array).expect("entries");
+    let surveyed: Vec<&str> = entries
+        .iter()
+        .filter_map(|e| e.str_field("target").ok()?.strip_prefix("mul/"))
+        .collect();
+    assert_eq!(surveyed, engine_labels(), "mul/* targets");
+    let ct = entries
+        .iter()
+        .find(|e| e.str_field("target").ok() == Some("mul/ct"))
+        .expect("mul/ct entry");
+    assert_eq!(ct.str_field("verdict").expect("verdict"), "pass");
 }
 
 /// The trace-occupancy report carries the paper's golden cycle totals;

@@ -32,7 +32,7 @@
 //! ```
 
 use saber_hw::mac::multiples;
-use saber_ring::{ntt_crt, schoolbook, toom, PolyMultiplier, PolyQ, SecretPoly, N};
+use saber_ring::{PolyMultiplier, PolyQ, SecretPoly, N};
 
 use crate::dsp_packed::{self, pack, SignPlan, MAX_PACKED_MAGNITUDE, PACK_SHIFT};
 use crate::engine::rotated;
@@ -80,28 +80,11 @@ pub enum Fault {
     /// out of the high lane (the software analogue of
     /// [`Fault::HsIICarryFixDropped`]).
     SwarCarryRepairDropped,
-    /// Toom-4 engine (`saber_ring::toom_engine`): one term of the
-    /// interpolation operator is dropped — the `w₃` row's dependence on
-    /// the evaluation at `t = 3` is zeroed, and the now-inexact
-    /// divisions truncate silently (a mistyped constant in a hand-rolled
-    /// interpolation sequence, the classic Toom implementation bug).
-    ToomInterpolationTermDropped,
-    /// NTT-CRT engine (`saber_ring::ntt_crt_engine`): Garner's
-    /// reconstruction runs with `p₁⁻¹ + 1` instead of `p₁⁻¹ (mod p₂)` —
-    /// an off-by-one in the precomputed recombination constant that
-    /// leaves both residue pipelines bit-exact and corrupts only the
-    /// final lift.
-    CrtRecombineConstantOff,
 }
-
-/// Row/column of the interpolation term the Toom mutant drops (the `w₃`
-/// output's coefficient on the `w(3)` evaluation).
-const TOOM_FAULT_ROW: usize = 3;
-const TOOM_FAULT_COL: usize = 5;
 
 impl Fault {
     /// Every fault in the catalogue (the sensitivity gate iterates this).
-    pub const ALL: [Fault; 10] = [
+    pub const ALL: [Fault; 8] = [
         Fault::HsIMuxSelectFlip,
         Fault::HsIRotationSignDropped,
         Fault::HsIICarryFixDropped,
@@ -110,8 +93,6 @@ impl Fault {
         Fault::LwWrapSignDropped,
         Fault::LwSecretSignIgnored,
         Fault::SwarCarryRepairDropped,
-        Fault::ToomInterpolationTermDropped,
-        Fault::CrtRecombineConstantOff,
     ];
 
     /// Largest secret magnitude the faulted datapath accepts: the HS-II
@@ -139,8 +120,6 @@ impl Fault {
             Fault::LwWrapSignDropped => "LW wrap sign dropped",
             Fault::LwSecretSignIgnored => "LW secret sign ignored",
             Fault::SwarCarryRepairDropped => "SWAR carry repair dropped",
-            Fault::ToomInterpolationTermDropped => "Toom interpolation term dropped",
-            Fault::CrtRecombineConstantOff => "CRT recombination constant off",
         }
     }
 }
@@ -187,8 +166,6 @@ impl PolyMultiplier for FaultyMultiplier {
             Fault::LwWrapSignDropped => lw_wrap_sign_dropped(public, secret),
             Fault::LwSecretSignIgnored => lw_secret_sign_ignored(public, secret),
             Fault::SwarCarryRepairDropped => swar_carry_repair_dropped(public, secret),
-            Fault::ToomInterpolationTermDropped => toom_interpolation_term_dropped(public, secret),
-            Fault::CrtRecombineConstantOff => crt_recombine_constant_off(public, secret),
         }
     }
 
@@ -281,7 +258,7 @@ impl PolyMultiplier for TimingLeakMultiplier {
     }
 }
 
-/// Negacyclic fold shared by the timing mutants: `x^(k+N) ≡ -x^k`.
+/// Negacyclic fold of the SWAR timing mutant: `x^(k+N) ≡ -x^k`.
 fn fold_negacyclic(acc: &[i64; 2 * N]) -> PolyQ {
     let mut folded = [0i64; N];
     for (k, out) in folded.iter_mut().enumerate() {
@@ -290,22 +267,23 @@ fn fold_negacyclic(acc: &[i64; 2 * N]) -> PolyQ {
     PolyQ::from_signed(&folded)
 }
 
-/// The ct scan with a secret-dependent early exit: zero coefficients
-/// contribute nothing, so skipping them is *functionally* free — and
-/// makes runtime proportional to the secret's support.
+/// The ct engine's wrapping-`u16` lane scan with a secret-dependent
+/// early exit: zero coefficients contribute nothing, so skipping them
+/// is *functionally* free — and makes runtime proportional to the
+/// secret's support.
 fn ct_scan_early_exit(public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-    let a = public.to_i64();
-    let mut acc = [0i64; 2 * N];
+    let a = public.coeffs();
+    let mut acc = [0u16; 2 * N];
     for (j, &c) in secret.coeffs().iter().enumerate() {
         if c == 0 {
             continue; // the planted leak: work ∝ nonzero count
         }
-        let sj = i64::from(c);
+        let sj = c as i16 as u16;
         for (slot, &av) in acc[j..j + N].iter_mut().zip(a.iter()) {
-            *slot += sj * av;
+            *slot = slot.wrapping_add(sj.wrapping_mul(av));
         }
     }
-    fold_negacyclic(&acc)
+    PolyQ::from_fn(|k| acc[k].wrapping_sub(acc[k + N]))
 }
 
 /// A row pipeline with a data-dependent sign branch: every coefficient
@@ -565,63 +543,6 @@ fn swar_carry_repair_dropped(a: &PolyQ, s: &SecretPoly) -> PolyQ {
     PolyQ::from_signed(&folded)
 }
 
-/// Toom-4 engine dataflow (same limb evaluations and point products as
-/// `saber_ring::toom_engine`) with one interpolation term dropped: the
-/// scaled-matrix numerator at ([`TOOM_FAULT_ROW`], [`TOOM_FAULT_COL`])
-/// is zeroed, and the resulting inexact divisions truncate toward zero —
-/// the buggy RTL has no exactness assertion to trip.
-fn toom_interpolation_term_dropped(a: &PolyQ, s: &SecretPoly) -> PolyQ {
-    use toom::{LIMB, POINTS, PROD};
-    let mut ea = [[0i64; LIMB]; POINTS];
-    let mut es = [[0i64; LIMB]; POINTS];
-    toom::evaluate_points(&a.to_i64(), &mut ea);
-    toom::evaluate_points(&s.to_i64(), &mut es);
-    let mut products = [[0i64; PROD]; POINTS];
-    for (p, prod) in products.iter_mut().enumerate() {
-        prod.copy_from_slice(&schoolbook::linear_mul_i64(&ea[p], &es[p]));
-    }
-    let scaled = toom::scaled_interpolation();
-    let mut num = scaled.num;
-    // The seeded fault: one matrix term gone.
-    num[TOOM_FAULT_ROW][TOOM_FAULT_COL] = 0;
-    let mut linear = [0i64; 2 * N - 1];
-    for (k, row) in num.iter().enumerate() {
-        for idx in 0..PROD {
-            let mut acc: i128 = 0;
-            for (j, &c) in row.iter().enumerate() {
-                if c != 0 {
-                    acc += c * i128::from(products[j][idx]);
-                }
-            }
-            linear[k * LIMB + idx] += (acc / scaled.den) as i64;
-        }
-    }
-    PolyQ::from_signed(&schoolbook::fold_negacyclic(&linear))
-}
-
-/// NTT-CRT engine dataflow with a corrupted Garner constant: both
-/// residue pipelines are the genuine ones, but recombination multiplies
-/// by `p₁⁻¹ + 1` instead of `p₁⁻¹ (mod p₂)`.
-fn crt_recombine_constant_off(a: &PolyQ, s: &SecretPoly) -> PolyQ {
-    let (r1, r2) = ntt_crt::negacyclic_residues(&a.to_i64(), &s.to_i64());
-    let (p1, p2, p1_inv) = ntt_crt::crt_constants();
-    // The seeded fault: an off-by-one recombination constant.
-    let wrong_inv = (p1_inv + 1) % p2;
-    let modulus = u64::from(p1) * u64::from(p2);
-    let mut out = [0i64; N];
-    for (j, slot) in out.iter_mut().enumerate() {
-        let diff = (r2[j] + p2 - (r1[j] % p2)) % p2;
-        let t = ((u64::from(diff) * u64::from(wrong_inv)) % u64::from(p2)) as u32;
-        let x = u64::from(r1[j]) + u64::from(p1) * u64::from(t);
-        *slot = if x > modulus / 2 {
-            (x as i64) - (modulus as i64)
-        } else {
-            x as i64
-        };
-    }
-    PolyQ::from_signed(&out)
-}
-
 /// LW dataflow with the MAC's add/sub line stuck at *add*.
 fn lw_secret_sign_ignored(a: &PolyQ, s: &SecretPoly) -> PolyQ {
     let mut acc = [0u16; N];
@@ -678,8 +599,6 @@ mod tests {
             Fault::LwWrapSignDropped,
             Fault::LwSecretSignIgnored,
             Fault::SwarCarryRepairDropped,
-            Fault::ToomInterpolationTermDropped,
-            Fault::CrtRecombineConstantOff,
         ] {
             let mut mutant = FaultyMultiplier::new(fault);
             assert_eq!(
@@ -688,29 +607,6 @@ mod tests {
                 "fault {fault:?} must be inert on the zero secret"
             );
         }
-    }
-
-    #[test]
-    fn dropped_toom_term_exists_in_the_real_matrix() {
-        // The fault must remove a live term; a zero entry would make the
-        // mutant an exact replica of the parent.
-        let scaled = toom::scaled_interpolation();
-        assert_ne!(scaled.num[TOOM_FAULT_ROW][TOOM_FAULT_COL], 0);
-    }
-
-    #[test]
-    fn crt_mutant_corrupts_only_out_of_range_lifts() {
-        // Coefficients that fit below p₁ have a zero Garner correction
-        // term, so the wrong constant cannot show there: the product
-        // x^0 · 1 (true coefficient 1 < p₁) must survive, which is why
-        // the corpus needs large and negative products to see the fault.
-        let one_public = PolyQ::from_fn(|i| u16::from(i == 0));
-        let one_secret = SecretPoly::from_fn(|i| i8::from(i == 0));
-        let mut mutant = FaultyMultiplier::new(Fault::CrtRecombineConstantOff);
-        assert_eq!(
-            mutant.multiply(&one_public, &one_secret),
-            schoolbook::mul_asym(&one_public, &one_secret)
-        );
     }
 
     #[test]
@@ -750,8 +646,6 @@ mod tests {
         assert_eq!(Fault::HsIICarryFixDropped.secret_bound(), 4);
         assert_eq!(Fault::HsIMuxSelectFlip.secret_bound(), 5);
         assert_eq!(Fault::SwarCarryRepairDropped.secret_bound(), 5);
-        assert_eq!(Fault::ToomInterpolationTermDropped.secret_bound(), 5);
-        assert_eq!(Fault::CrtRecombineConstantOff.secret_bound(), 5);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! encapsulation entropy), and the multiplier backend is supposed to be
 //! an invisible implementation detail — so serializing the public key,
 //! secret key, ciphertext and shared secrets under each [`EngineKind`]
-//! (including the `auto` calibration policy) must reproduce the exact
-//! bytes the cached reference engine emits. A single differing byte
-//! means an engine is not a drop-in replacement, even if its raw
-//! polynomial products pass the differential fuzzer.
+//! must reproduce the exact bytes the cached reference engine emits. A
+//! single differing byte means an engine is not a drop-in replacement,
+//! even if its raw polynomial products pass the differential fuzzer.
 
 use saber_kem::params::ALL_PARAMS;
 use saber_kem::serialize::{ciphertext_to_bytes, public_key_to_bytes, secret_key_to_bytes};
@@ -51,7 +50,7 @@ fn every_engine_reproduces_the_reference_transcript_byte_for_byte() {
         let seed = [0x3A + i as u8; 32];
         let entropy = [0xB5 ^ i as u8; 32];
         let reference = roundtrip_transcript(EngineKind::Cached, params, &seed, &entropy);
-        for kind in EngineKind::ALL.into_iter().chain([EngineKind::Auto]) {
+        for kind in EngineKind::ALL {
             let transcript = roundtrip_transcript(kind, params, &seed, &entropy);
             assert_eq!(
                 transcript, reference,
@@ -68,8 +67,8 @@ fn transcripts_separate_across_seeds_not_engines() {
     // change the transcript, so byte-equality across engines above is
     // not vacuous (e.g. all-zero serializations would pass it).
     let params = &ALL_PARAMS[1];
-    let a = roundtrip_transcript(EngineKind::Toom, params, &[1; 32], &[2; 32]);
-    let b = roundtrip_transcript(EngineKind::Toom, params, &[3; 32], &[2; 32]);
+    let a = roundtrip_transcript(EngineKind::Ct, params, &[1; 32], &[2; 32]);
+    let b = roundtrip_transcript(EngineKind::Ct, params, &[3; 32], &[2; 32]);
     assert_ne!(a.pk, b.pk);
     assert_ne!(a.ct, b.ct);
     assert_ne!(a.ss_enc, b.ss_enc);

@@ -1,8 +1,8 @@
 //! Constant-time schoolbook multiplier: secret-independent scan order
 //! and memory access pattern.
 //!
-//! The fast software engines in this workspace all trade timing
-//! uniformity for speed in ways that depend on the *secret* operand:
+//! The software mirrors of the paper's hardware schedules trade timing
+//! uniformity for structure in ways that depend on the *secret* operand:
 //!
 //! - the HS-I cached engine ([`crate::cached`]) builds value-indexed
 //!   buckets and scans only the positions holding each nonzero secret
@@ -10,16 +10,14 @@
 //! - the HS-II SWAR engine ([`crate::swar`]) takes a complement-trick
 //!   path only for negative packed rows, so its work depends on the
 //!   secret's sign pattern;
-//! - Toom/NTT evaluate the secret operand through data-dependent
-//!   normalization steps.
 //!
-//! [`CtSchoolbookMultiplier`] is the hardened alternative
-//! (`SABER_ENGINE=ct`): a fixed-order 256 × 256 multiply-accumulate
-//! scan whose iteration count, branch trace, and memory addresses are
-//! identical for every secret in the domain. There is no zero skip, no
-//! sign branch, and no value-indexed table — coefficient `j` of the
-//! secret always touches accumulator slots `j .. j + 256` in the same
-//! order, whatever its value.
+//! [`CtSchoolbookMultiplier`] is the hardened alternative and the
+//! default hot-path engine (`SABER_ENGINE=ct`): a fixed-order 256 × 256
+//! multiply-accumulate scan whose iteration count, branch trace, and
+//! memory addresses are identical for every secret in the domain. There
+//! is no zero skip, no sign branch, and no value-indexed table —
+//! coefficient `j` of the secret always touches accumulator slots
+//! `j .. j + 256` in the same order, whatever its value.
 //!
 //! The residual assumption, standard for this style of hardening, is
 //! that the CPU's integer multiply has operand-independent latency
@@ -28,16 +26,33 @@
 //! the *measured* check on that assumption: this engine is the one
 //! backend expected to pass the fixed-vs-random leakage gate.
 //!
-//! Bound: `|acc[k]| ≤ 256 · 5 · 8191 < 2^24`, and the negacyclic fold
-//! subtracts two such terms, so an `i64` accumulator is exact with room
-//! to spare under `overflow-checks`.
+//! # Exactness in wrapping `u16` lanes
+//!
+//! The accumulator is `[u16; 2N]` with wrapping arithmetic, so every
+//! product and partial sum is only known modulo 2^16. That is enough:
+//! `u16` wrapping arithmetic is the ring `Z/2^16`, and reduction
+//! `Z/2^16 → Z/2^13` is a ring homomorphism because 2^13 divides 2^16.
+//! Sign-extending a secret coefficient `c` (`c as i16 as u16`) gives the
+//! residue of `c` mod 2^16, multiplication and addition commute with the
+//! reduction, and the negacyclic fold `acc[k] - acc[k + N]` is one more
+//! ring subtraction. Masking the folded lanes to 13 bits
+//! ([`PolyQ::from_coeffs`]) therefore yields exactly the integer
+//! convolution reduced mod q, however often the lanes wrapped on the
+//! way. No bound on `|c|` or on the accumulator is needed, and nothing
+//! can trip `overflow-checks`. The loop is plain safe Rust that LLVM
+//! auto-vectorizes into 16-bit SIMD multiply-adds.
 
 use crate::modulus::N;
 use crate::mul::PolyMultiplier;
 use crate::poly::PolyQ;
 use crate::secret::SecretPoly;
 
-/// Constant-time fixed-scan schoolbook backend (`SABER_ENGINE=ct`).
+/// Constant-time fixed-scan schoolbook backend (`SABER_ENGINE=ct`, the
+/// default engine).
+///
+/// Stateless: the accumulator lives on the stack of each
+/// [`multiply`](PolyMultiplier::multiply) call, so no secret-dependent
+/// partial sum outlives the call in the engine value.
 ///
 /// # Examples
 ///
@@ -51,49 +66,40 @@ use crate::secret::SecretPoly;
 /// let mut oracle = SchoolbookMultiplier;
 /// assert_eq!(ct.multiply(&a, &s), oracle.multiply(&a, &s));
 /// ```
-#[derive(Debug, Clone)]
-pub struct CtSchoolbookMultiplier {
-    /// 2N-wide product accumulator, reused across calls so the hot loop
-    /// never allocates. Its address pattern is independent of the
-    /// secret: pass `j` always writes `acc[j .. j + N]`.
-    acc: Vec<i64>,
-}
-
-impl Default for CtSchoolbookMultiplier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CtSchoolbookMultiplier;
 
 impl CtSchoolbookMultiplier {
-    /// A fresh engine with its accumulator arena allocated up front.
+    /// A fresh engine.
     #[must_use]
     pub fn new() -> Self {
-        Self { acc: vec![0i64; 2 * N] }
+        Self
     }
 }
 
 impl PolyMultiplier for CtSchoolbookMultiplier {
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        let a = public.to_i64();
-        self.acc.fill(0);
+        let a = public.coeffs();
+        // Pass `j` always writes `acc[j .. j + N]`: the address pattern
+        // is independent of the secret.
+        let mut acc = [0u16; 2 * N];
         // Fixed scan: every secret coefficient — zero, positive, or
         // negative — performs exactly N multiply-accumulates over the
         // same contiguous window. No early exit, no sign branch.
         for (j, &c) in secret.coeffs().iter().enumerate() {
-            let sj = i64::from(c);
-            for (slot, &av) in self.acc[j..j + N].iter_mut().zip(a.iter()) {
-                *slot += sj * av;
+            let sj = c as i16 as u16;
+            for (slot, &av) in acc[j..j + N].iter_mut().zip(a.iter()) {
+                *slot = slot.wrapping_add(sj.wrapping_mul(av));
             }
         }
         // Negacyclic fold: x^(k+N) ≡ -x^k in Z[x]/(x^N + 1). The fold
         // reads every slot unconditionally, so it is as uniform as the
         // scan above.
-        let mut folded = [0i64; N];
+        let mut folded = [0u16; N];
         for (k, out) in folded.iter_mut().enumerate() {
-            *out = self.acc[k] - self.acc[k + N];
+            *out = acc[k].wrapping_sub(acc[k + N]);
         }
-        PolyQ::from_signed(&folded)
+        PolyQ::from_coeffs(folded)
     }
 
     // multiply_batch: the trait default (a plain map over `multiply`)
@@ -133,7 +139,7 @@ mod tests {
 
     #[test]
     fn extreme_magnitude_secrets_stay_exact() {
-        // All-(+5) and all-(-5) secrets maximize the accumulator bound.
+        // All-(+5) and all-(-5) secrets give the largest partial sums.
         let mut ct = CtSchoolbookMultiplier::new();
         let mut oracle = SchoolbookMultiplier;
         let a = PolyQ::from_fn(|_| 0x1fff);
@@ -141,5 +147,9 @@ mod tests {
             let s = SecretPoly::from_fn(|_| mag);
             assert_eq!(ct.multiply(&a, &s), oracle.multiply(&a, &s));
         }
+        // Alternating ±5 against all-0x1fff: partial sums swing through
+        // both signs, so the u16 lanes wrap downward and upward.
+        let s = SecretPoly::from_fn(|i| if i % 2 == 0 { 5 } else { -5 });
+        assert_eq!(ct.multiply(&a, &s), oracle.multiply(&a, &s));
     }
 }

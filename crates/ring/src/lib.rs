@@ -27,15 +27,11 @@
 //!   submission and the DAC 2020 co-processor;
 //! * [`ntt`] — multiplication via an NTT over a 64-bit prime field,
 //!   the "NTT for NTT-unfriendly rings" approach of Chung et al.;
-//! * [`toom_engine`], [`ntt_crt_engine`] — the fast-algorithm hot-path
-//!   engines: batched Toom-4 (Karatsuba base case, per-secret point
-//!   evaluations cached) and batched two-prime NTT-CRT (per-secret
-//!   forward transforms cached), both allocation-free after warmup;
-//! * [`ct`] — the constant-time fixed-scan schoolbook engine
-//!   (`SABER_ENGINE=ct`): secret-independent scan order and memory
-//!   access pattern, held to that claim by the `saber-timing` gate;
-//! * [`autotune`] — the startup calibration that picks the fastest
-//!   engine per shard when `SABER_ENGINE=auto`;
+//! * [`ct`] — the constant-time fixed-scan schoolbook engine and the
+//!   default hot path (`SABER_ENGINE=ct`): wrapping `u16` lanes, exact
+//!   because `2^13` divides `2^16`, with a secret-independent scan order
+//!   and memory access pattern held to that claim by the `saber-timing`
+//!   gate;
 //! * [`rounding`], [`packing`], [`matrix`] — the scaling, serialization
 //!   and module-lattice plumbing required by the Saber KEM;
 //! * [`mul::PolyMultiplier`] — the backend trait implemented both by the
@@ -56,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod cached;
 pub mod ct;
 pub mod engine;
@@ -66,7 +61,6 @@ pub mod modulus;
 pub mod mul;
 pub mod ntt;
 pub mod ntt_crt;
-pub mod ntt_crt_engine;
 pub mod packing;
 pub mod poly;
 pub mod rounding;
@@ -74,7 +68,6 @@ pub mod schoolbook;
 pub mod secret;
 pub mod swar;
 pub mod toom;
-pub mod toom_engine;
 
 pub use cached::CachedSchoolbookMultiplier;
 pub use ct::CtSchoolbookMultiplier;
@@ -82,8 +75,6 @@ pub use engine::EngineKind;
 pub use matrix::{PolyMatrix, PolyVec, SecretVec};
 pub use modulus::{EPS_P, EPS_Q, N, P, Q};
 pub use mul::PolyMultiplier;
-pub use ntt_crt_engine::NttCrtEngine;
 pub use poly::{Poly, PolyP, PolyQ};
 pub use secret::SecretPoly;
 pub use swar::SwarMultiplier;
-pub use toom_engine::ToomCook4Engine;

@@ -23,15 +23,15 @@ const LOG_N: u32 = 8;
 
 /// One small NTT field with its precomputed twiddle tables.
 #[derive(Debug, Clone)]
-pub(crate) struct SmallField {
-    pub(crate) prime: u32,
-    pub(crate) psi: [u32; N],
-    pub(crate) psi_inv_scaled: [u32; N],
-    pub(crate) omega: [u32; N],
-    pub(crate) omega_inv: [u32; N],
+struct SmallField {
+    prime: u32,
+    psi: [u32; N],
+    psi_inv_scaled: [u32; N],
+    omega: [u32; N],
+    omega_inv: [u32; N],
 }
 
-pub(crate) fn mul_mod(a: u32, b: u32, p: u32) -> u32 {
+fn mul_mod(a: u32, b: u32, p: u32) -> u32 {
     ((u64::from(a) * u64::from(b)) % u64::from(p)) as u32
 }
 
@@ -106,15 +106,15 @@ fn build_field(prime: u32) -> SmallField {
 
 /// The two fields plus CRT constants.
 #[derive(Debug, Clone)]
-pub(crate) struct CrtContext {
-    pub(crate) f1: SmallField,
-    pub(crate) f2: SmallField,
+struct CrtContext {
+    f1: SmallField,
+    f2: SmallField,
     /// `p₁⁻¹ mod p₂` for Garner's reconstruction.
-    pub(crate) p1_inv_mod_p2: u32,
-    pub(crate) modulus: u64,
+    p1_inv_mod_p2: u32,
+    modulus: u64,
 }
 
-pub(crate) fn context() -> &'static CrtContext {
+fn context() -> &'static CrtContext {
     static CTX: OnceLock<CrtContext> = OnceLock::new();
     CTX.get_or_init(|| {
         // Search for the two smallest ~14-bit primes ≡ 1 (mod 512) with
@@ -146,7 +146,7 @@ fn bit_reverse_permute(values: &mut [u32; N]) {
     }
 }
 
-pub(crate) fn transform(values: &mut [u32; N], powers: &[u32; N], p: u32) {
+fn transform(values: &mut [u32; N], powers: &[u32; N], p: u32) {
     bit_reverse_permute(values);
     let mut len = 2;
     while len <= N {
@@ -165,9 +165,8 @@ pub(crate) fn transform(values: &mut [u32; N], powers: &[u32; N], p: u32) {
 }
 
 /// Lifts `src` into the field, applies the ψ pre-twist, and runs the
-/// forward transform in place — the per-operand half of the pipeline
-/// that the batched engine caches per secret.
-pub(crate) fn forward_into(src: &[i64; N], f: &SmallField, out: &mut [u32; N]) {
+/// forward transform in place — the per-operand half of the pipeline.
+fn forward_into(src: &[i64; N], f: &SmallField, out: &mut [u32; N]) {
     let p = f.prime;
     for (j, slot) in out.iter_mut().enumerate() {
         *slot = mul_mod(src[j].rem_euclid(i64::from(p)) as u32, f.psi[j], p);
@@ -177,7 +176,7 @@ pub(crate) fn forward_into(src: &[i64; N], f: &SmallField, out: &mut [u32; N]) {
 
 /// Pointwise product with `other`, inverse transform, and ψ⁻¹/N descale,
 /// all in place on `values` — the per-product tail of the pipeline.
-pub(crate) fn pointwise_inverse_into(values: &mut [u32; N], other: &[u32; N], f: &SmallField) {
+fn pointwise_inverse_into(values: &mut [u32; N], other: &[u32; N], f: &SmallField) {
     let p = f.prime;
     for (x, &y) in values.iter_mut().zip(other.iter()) {
         *x = mul_mod(*x, y, p);
@@ -190,7 +189,7 @@ pub(crate) fn pointwise_inverse_into(values: &mut [u32; N], other: &[u32; N], f:
 
 /// Garner reconstruction of the centered integer coefficients from the
 /// two per-field residue vectors, written into `out`.
-pub(crate) fn recombine_centered(r1: &[u32; N], r2: &[u32; N], out: &mut [i64; N]) {
+fn recombine_centered(r1: &[u32; N], r2: &[u32; N], out: &mut [i64; N]) {
     let ctx = context();
     let (p1, p2) = (ctx.f1.prime, ctx.f2.prime);
     for (j, slot) in out.iter_mut().enumerate() {
@@ -227,26 +226,6 @@ pub fn negacyclic_mul(a: &[i64; N], b: &[i64; N]) -> [i64; N] {
     let mut out = [0i64; N];
     recombine_centered(&r1, &r2, &mut out);
     out
-}
-
-/// The per-field negacyclic residues of `a·b` (before recombination).
-///
-/// Exposed so fault mutants and diagnostics can re-run Garner's step
-/// with corrupted constants against genuine residues.
-#[must_use]
-pub fn negacyclic_residues(a: &[i64; N], b: &[i64; N]) -> ([u32; N], [u32; N]) {
-    let ctx = context();
-    (
-        negacyclic_mul_field(a, b, &ctx.f1),
-        negacyclic_mul_field(a, b, &ctx.f2),
-    )
-}
-
-/// `(p₁, p₂, p₁⁻¹ mod p₂)` — the Garner reconstruction constants.
-#[must_use]
-pub fn crt_constants() -> (u32, u32, u32) {
-    let ctx = context();
-    (ctx.f1.prime, ctx.f2.prime, ctx.p1_inv_mod_p2)
 }
 
 /// CRT-NTT product of two ring polynomials.

@@ -2,14 +2,14 @@
 //! ([`saber_ring::ct::CtSchoolbookMultiplier`], `SABER_ENGINE=ct`):
 //! bit-exact against the schoolbook oracle across all three Saber
 //! parameter-set secret bounds and batch sizes 1/4/16/64, with the
-//! batch path identical to the mapped path — mirroring
-//! `engine_batch.rs` for the Toom/NTT engines.
+//! batch path identical to the mapped path — the per-engine deep dive
+//! behind `engine_batch.rs`.
 //!
 //! The adversarial shapes lean on what a *broken* constant-time scan
 //! would get wrong: all-zero secrets (anything with an early exit
 //! degenerates here), single-coefficient secrets at both ends of the
 //! ring (the negacyclic fold), and saturated ±bound secrets (the
-//! accumulator bound).
+//! largest partial sums, which wrap the u16 lanes).
 
 use saber_ring::{schoolbook, CtSchoolbookMultiplier, EngineKind, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::Rng;

@@ -1,7 +1,7 @@
-//! Batch ≡ mapped equivalence for the batched hot-path engines
-//! ([`ToomCook4Engine`], [`NttCrtEngine`]) across every parameter-set
-//! secret bound, and the `toom.*`/`ntt.*` trace counters surviving all
-//! the way into the Chrome-trace export.
+//! Batch ≡ mapped equivalence for every hot-path engine
+//! ([`EngineKind::ALL`]) across every parameter-set secret bound, and
+//! the secret-caching engines' `hs1.*`/`swar.*` trace counters
+//! surviving all the way into the Chrome-trace export.
 //!
 //! The unit tests inside each engine module already pin the batch path
 //! to the mapped path on one bound; this battery re-runs the property
@@ -9,7 +9,10 @@
 //! (LightSaber 5, Saber 4, FireSaber 3) through the [`EngineKind`]
 //! selector — the exact construction path the service layer uses.
 
-use saber_ring::{schoolbook, EngineKind, NttCrtEngine, PolyMultiplier, PolyQ, SecretPoly, ToomCook4Engine};
+use saber_ring::{
+    schoolbook, CachedSchoolbookMultiplier, EngineKind, PolyMultiplier, PolyQ, SecretPoly,
+    SwarMultiplier,
+};
 use saber_testkit::json::Value;
 use saber_testkit::Rng;
 
@@ -64,41 +67,33 @@ fn assert_batch_matches_mapped(kind: EngineKind) {
 }
 
 #[test]
-fn toom_batch_matches_mapped_multiplies_across_all_bounds() {
-    assert_batch_matches_mapped(EngineKind::Toom);
-}
-
-#[test]
-fn ntt_batch_matches_mapped_multiplies_across_all_bounds() {
-    assert_batch_matches_mapped(EngineKind::Ntt);
+fn every_engine_batch_matches_mapped_multiplies_across_all_bounds() {
+    for kind in EngineKind::ALL {
+        assert_batch_matches_mapped(kind);
+    }
 }
 
 #[test]
 fn engine_counters_survive_into_the_chrome_export() {
-    // Drive both engines through a batch with secret reuse inside a
-    // capture session, then check every instrumentation counter both in
-    // the raw trace and in the validated Chrome-trace document.
+    // Drive both secret-caching engines through a batch with secret
+    // reuse inside a capture session, then check every instrumentation
+    // counter both in the raw trace and in the validated Chrome-trace
+    // document.
     let session = saber_trace::start();
     let (publics, secrets) = workload(0xC0_FFEE, 5, 6, 2);
-    let ops: Vec<(&PolyQ, &SecretPoly)> = publics
-        .iter()
-        .zip(secrets.iter().cycle())
-        .collect();
-    let mut toom = ToomCook4Engine::new();
-    let mut ntt = NttCrtEngine::new();
-    let toom_out = toom.multiply_batch(&ops);
-    let ntt_out = ntt.multiply_batch(&ops);
+    let ops: Vec<(&PolyQ, &SecretPoly)> = publics.iter().zip(secrets.iter().cycle()).collect();
+    let cached_out = CachedSchoolbookMultiplier::new().multiply_batch(&ops);
+    let swar_out = SwarMultiplier::new().multiply_batch(&ops);
     let trace = session.finish();
-    assert_eq!(toom_out, ntt_out, "engines agree on the traced batch");
+    assert_eq!(cached_out, swar_out, "engines agree on the traced batch");
 
-    const COUNTERS: [&str; 7] = [
-        "toom.secret_eval_build",
-        "toom.secret_eval_reused",
-        "toom.interpolations",
-        "ntt.secret_forward_build",
-        "ntt.forward_skipped",
-        "ntt.public_forward",
-        "ntt.crt_recombine",
+    const COUNTERS: [&str; 6] = [
+        "hs1.bucket_build",
+        "hs1.bucket_hit",
+        "hs1.bucket_miss",
+        "swar.rows_built",
+        "swar.bucket_hit",
+        "swar.bucket_miss",
     ];
     for name in COUNTERS {
         assert!(

@@ -33,8 +33,8 @@
 //!   arming and the crash-dump panic hook (both installed by
 //!   [`KemService::spawn`]);
 //! * [`snapshot`] — the unified [`MetricsSnapshot`] registry merging
-//!   the service report, trace counters, flight status, auto-tune
-//!   decision, and SoC fingerprint into one versioned JSON document
+//!   the service report, trace counters, flight status, and SoC
+//!   fingerprint into one versioned JSON document
 //!   plus a linted Prometheus text exposition.
 //!
 //! # Examples

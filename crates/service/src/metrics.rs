@@ -286,10 +286,9 @@ impl Metrics {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker shard came up on the named concrete engine. Called once
-    /// per worker at pool startup — for `SABER_ENGINE=auto` the label is
-    /// the calibrated winner, so the report records what actually served
-    /// traffic, not the selection policy.
+    /// A worker shard came up on the named engine. Called once per
+    /// worker at pool startup, so the report records what actually
+    /// served traffic.
     pub fn record_engine(&self, label: &str) {
         self.engines
             .lock()
@@ -375,9 +374,8 @@ pub struct ServiceReport {
     /// Jobs admitted above the soft capacity under the degrade
     /// overload policy. Zero under the reject policy.
     pub degraded_admissions: u64,
-    /// Concrete engine label each worker shard resolved to (sorted;
-    /// one entry per worker startup). Under `SABER_ENGINE=auto` this is
-    /// where the calibrated per-shard choice is recorded.
+    /// Engine label each worker shard was built from (sorted; one entry
+    /// per worker startup).
     pub engines: Vec<String>,
     /// Per-operation end-to-end (enqueue→completion) latency
     /// histograms, in [`OpKind::ALL`] order.
@@ -730,14 +728,14 @@ mod tests {
     #[test]
     fn engine_labels_are_recorded_sorted_and_survive_json() {
         let m = Metrics::default();
-        m.record_engine("toom");
+        m.record_engine("swar");
         m.record_engine("cached");
         m.record_engine("cached");
         let r = m.snapshot(3, 8, 0);
-        assert_eq!(r.engines, ["cached", "cached", "toom"], "sorted snapshot");
+        assert_eq!(r.engines, ["cached", "cached", "swar"], "sorted snapshot");
         let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back.engines, r.engines);
-        assert!(r.format_summary().contains("engines=cached,cached,toom"));
+        assert!(r.format_summary().contains("engines=cached,cached,swar"));
     }
 
     #[test]

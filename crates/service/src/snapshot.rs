@@ -3,10 +3,9 @@
 //!
 //! Each layer already produces its own artifact — [`ServiceReport`]
 //! counters and wait/exec histograms, `saber_trace` counter probes, the
-//! engine auto-tuner's calibration decision, the SoC co-simulation
-//! fingerprint. A [`MetricsSnapshot`] is the umbrella: a single
-//! point-in-time document with a `schema_version` field, serialized two
-//! ways from the same data:
+//! SoC co-simulation fingerprint. A [`MetricsSnapshot`] is the umbrella:
+//! a single point-in-time document with a `schema_version` field,
+//! serialized two ways from the same data:
 //!
 //! * **JSON** ([`MetricsSnapshot::to_json_string`] /
 //!   [`MetricsSnapshot::from_json_str`]) — lossless round-trip, the
@@ -22,20 +21,20 @@
 //! decimal bounds + `"+Inf"`), and the exposition uses **cumulative**
 //! bucket counts as the `le` semantics require.
 //!
-//! Versioning: `SCHEMA_VERSION` is 2 (version 2 added the service
-//! report's steal/degraded counters). Parsers reject documents with a
-//! different version rather than guessing — additive fields bump the
-//! version, and a reader for version N refuses N+1 documents instead of
-//! silently dropping sections.
+//! Versioning: `SCHEMA_VERSION` is 3 (version 2 added the service
+//! report's steal/degraded counters; version 3 removed the `autotune`
+//! section along with the engine auto-tuner). Parsers reject documents
+//! with a different version rather than guessing — additive fields bump
+//! the version, and a reader for version N refuses N+1 documents instead
+//! of silently dropping sections.
 
-use saber_ring::autotune::Calibration;
 use saber_testkit::json::Value;
 
 use crate::metrics::{bucket_edge_label, ServiceReport, BUCKET_COUNT};
 use crate::obs;
 
 /// Version of the snapshot document schema.
-pub const SCHEMA_VERSION: i64 = 2;
+pub const SCHEMA_VERSION: i64 = 3;
 
 /// Flight-recorder status at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,40 +61,6 @@ impl FlightStatus {
             dump_count: saber_trace::flight::dump_count(),
             panic_dumps: obs::panic_dump_count(),
             capacity: saber_trace::flight::CAPACITY as u64,
-        }
-    }
-}
-
-/// One engine's score from the startup calibration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AutotuneSample {
-    /// Engine label (`"cached"`, `"swar"`, …).
-    pub engine: String,
-    /// Best full-sweep wall-clock nanoseconds (clamped to `u64`).
-    pub total_nanos: u64,
-}
-
-/// The engine auto-tuner's decision, when a calibration ran.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AutotuneSection {
-    /// The winning engine's label.
-    pub chosen: String,
-    /// Every candidate's measurement, in candidate order.
-    pub samples: Vec<AutotuneSample>,
-}
-
-impl From<&Calibration> for AutotuneSection {
-    fn from(cal: &Calibration) -> Self {
-        AutotuneSection {
-            chosen: cal.chosen.label().to_string(),
-            samples: cal
-                .samples
-                .iter()
-                .map(|s| AutotuneSample {
-                    engine: s.engine.label().to_string(),
-                    total_nanos: u64::try_from(s.total_nanos).unwrap_or(u64::MAX),
-                })
-                .collect(),
         }
     }
 }
@@ -140,8 +105,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, i64)>,
     /// Flight-recorder status.
     pub flight: FlightStatus,
-    /// Engine auto-tune decision, when a calibration ran.
-    pub autotune: Option<AutotuneSection>,
     /// SoC co-simulation summary, when a probed run is attached.
     pub soc: Option<SocSection>,
 }
@@ -156,7 +119,6 @@ impl MetricsSnapshot {
             service,
             counters: Vec::new(),
             flight: FlightStatus::capture(),
-            autotune: None,
             soc: None,
         }
     }
@@ -167,13 +129,6 @@ impl MetricsSnapshot {
     pub fn with_counters(mut self, mut counters: Vec<(String, i64)>) -> Self {
         counters.sort();
         self.counters = counters;
-        self
-    }
-
-    /// Attaches the auto-tuner's calibration decision.
-    #[must_use]
-    pub fn with_autotune(mut self, calibration: &Calibration) -> Self {
-        self.autotune = Some(AutotuneSection::from(calibration));
         self
     }
 
@@ -212,28 +167,6 @@ impl MetricsSnapshot {
                 ]),
             ),
         ];
-        if let Some(auto) = &self.autotune {
-            fields.push((
-                "autotune".into(),
-                Value::Object(vec![
-                    ("chosen".into(), Value::Str(auto.chosen.clone())),
-                    (
-                        "samples".into(),
-                        Value::Array(
-                            auto.samples
-                                .iter()
-                                .map(|s| {
-                                    Value::Object(vec![
-                                        ("engine".into(), Value::Str(s.engine.clone())),
-                                        ("total_nanos".into(), int(s.total_nanos)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
         if let Some(soc) = &self.soc {
             fields.push((
                 "soc".into(),
@@ -316,26 +249,6 @@ impl MetricsSnapshot {
             panic_dumps: uint(flight_value, "panic_dumps")?,
             capacity: uint(flight_value, "capacity")?,
         };
-        let autotune = match value.get("autotune") {
-            None => None,
-            Some(auto) => {
-                let mut samples = Vec::new();
-                for entry in auto
-                    .get("samples")
-                    .and_then(Value::as_array)
-                    .ok_or("missing autotune samples array")?
-                {
-                    samples.push(AutotuneSample {
-                        engine: entry.str_field("engine")?.to_string(),
-                        total_nanos: uint(entry, "total_nanos")?,
-                    });
-                }
-                Some(AutotuneSection {
-                    chosen: auto.str_field("chosen")?.to_string(),
-                    samples,
-                })
-            }
-        };
         let soc = match value.get("soc") {
             None => None,
             Some(section) => {
@@ -365,7 +278,6 @@ impl MetricsSnapshot {
             service,
             counters,
             flight,
-            autotune,
             soc,
         })
     }
@@ -585,29 +497,6 @@ impl MetricsSnapshot {
                     escape_label(name)
                 );
             }
-        }
-
-        if let Some(auto) = &self.autotune {
-            let _ = writeln!(
-                out,
-                "# HELP saber_autotune_sweep_ns Calibration sweep cost per engine."
-            );
-            let _ = writeln!(out, "# TYPE saber_autotune_sweep_ns gauge");
-            for sample in &auto.samples {
-                let _ = writeln!(
-                    out,
-                    "saber_autotune_sweep_ns{{engine=\"{}\"}} {}",
-                    escape_label(&sample.engine),
-                    sample.total_nanos
-                );
-            }
-            let _ = writeln!(out, "# HELP saber_autotune_chosen The calibrated winner.");
-            let _ = writeln!(out, "# TYPE saber_autotune_chosen gauge");
-            let _ = writeln!(
-                out,
-                "saber_autotune_chosen{{engine=\"{}\"}} 1",
-                escape_label(&auto.chosen)
-            );
         }
 
         if let Some(soc) = &self.soc {
@@ -911,11 +800,11 @@ mod tests {
     fn unknown_schema_version_is_refused() {
         let snap = sample_snapshot();
         let text = snap.to_json_string().replace(
-            "\"schema_version\": 2",
             "\"schema_version\": 3",
+            "\"schema_version\": 4",
         );
         let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
-        assert!(err.contains("unsupported snapshot schema version 3"), "{err}");
+        assert!(err.contains("unsupported snapshot schema version 4"), "{err}");
     }
 
     #[test]

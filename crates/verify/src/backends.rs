@@ -15,8 +15,7 @@ use saber_ring::mul::{
     CrtNttMultiplier, KaratsubaMultiplier, NttMultiplier, ToomCook4Multiplier,
 };
 use saber_ring::{
-    CachedSchoolbookMultiplier, CtSchoolbookMultiplier, NttCrtEngine, PolyMultiplier,
-    SwarMultiplier, ToomCook4Engine,
+    CachedSchoolbookMultiplier, CtSchoolbookMultiplier, PolyMultiplier, SwarMultiplier,
 };
 
 /// One registered backend: how to build it and what it accepts.
@@ -75,11 +74,7 @@ pub fn registry() -> Vec<BackendEntry> {
         entry("toom-cook-4", 5, || Box::new(ToomCook4Multiplier)),
         entry("ntt", 5, || Box::new(NttMultiplier)),
         entry("crt-ntt", 5, || Box::new(CrtNttMultiplier)),
-        // Batched hot-path engines (crates/ring): the scratch-owning,
-        // secret-caching variants behind SABER_ENGINE=toom|ntt.
-        entry("toom-engine", 5, || Box::new(ToomCook4Engine::new())),
-        entry("ntt-engine", 5, || Box::new(NttCrtEngine::new())),
-        // Constant-time engine (crates/ring): SABER_ENGINE=ct. Its
+        // Constant-time default engine (crates/ring): SABER_ENGINE=ct. Its
         // *timing* contract is the saber-timing gate's job; here it is
         // just one more backend that must stay bit-exact.
         entry("ct-schoolbook", 5, || Box::new(CtSchoolbookMultiplier::new())),
@@ -117,7 +112,7 @@ mod tests {
     #[test]
     fn registry_is_stable_and_named_uniquely() {
         let reg = registry();
-        assert_eq!(reg.len(), 22, "keep the registry in sync with the workspace");
+        assert_eq!(reg.len(), 20, "keep the registry in sync with the workspace");
         let mut names: Vec<&str> = reg.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();

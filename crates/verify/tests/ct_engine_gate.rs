@@ -1,7 +1,7 @@
-//! CI gate for the constant-time engine
+//! CI gate for the constant-time default engine
 //! (`saber_ring::ct::CtSchoolbookMultiplier`, `SABER_ENGINE=ct`).
 //!
-//! Mirrors `fast_engine_gate.rs`: the ct engine must be bit-exact
+//! Mirrors `swar_gate.rs`: the ct engine must be bit-exact
 //! against the schoolbook oracle over the full configured fuzz budget
 //! (2,048 cases per set in release CI). The timing *mutants*, by
 //! contrast, must be functionally invisible here — they compute correct

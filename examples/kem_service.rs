@@ -14,7 +14,7 @@ use saber_service::{
 
 fn main() {
     // A fixed pool: 4 workers, each owning its own multiplier shard
-    // built from the selected engine (`SABER_ENGINE=cached|swar`, cached
+    // built from the selected engine (`SABER_ENGINE=cached|swar|ct`, ct
     // by default); a 32-deep bounded queue (submissions beyond it are
     // rejected with SubmitError::QueueFull, never buffered unboundedly).
     let config = ServiceConfig {

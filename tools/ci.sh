@@ -7,8 +7,8 @@
 #   tools/ci.sh timing_gate   # one named stage (plus its dependencies)
 #
 # Stage names: lint build test fuzz swar_gate fault_gate
-# fast_engine_gate ct_engine_gate timing_gate soc_gate service
-# sched_gate trace obs_gate bench_reports bench
+# ct_engine_gate timing_gate soc_gate service sched_gate trace
+# obs_gate bench_reports bench
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,21 +57,12 @@ if want fault_gate; then
     cargo test -q --release -p saber-verify --test fault_sensitivity
 fi
 
-# Fast-engine gate: the batched Toom-Cook-4 and NTT-CRT hot-path
-# engines must stay bit-exact over the full 2,048-case release budget,
-# their seeded mutants (dropped Toom interpolation term, wrong CRT
-# recombination constant) must be caught within 64 cases, and every
-# engine must agree on a shared fuzzed batch.
-if want fast_engine_gate; then
-    echo "==> fast-engine gate: toom + ntt bit-exactness + mutants (release)"
-    SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test fast_engine_gate
-fi
-
-# Constant-time engine gate: SABER_ENGINE=ct must stay bit-exact over
-# the full release budget, and the planted *timing* mutants must be
-# functionally invisible to the differential fuzzer (they leak time,
-# not values — that separation is what makes them valid positive
-# controls for the timing gate below, which depends on this stage).
+# Constant-time engine gate: the default engine (SABER_ENGINE=ct) must
+# stay bit-exact over the full release budget, and the planted *timing*
+# mutants must be functionally invisible to the differential fuzzer
+# (they leak time, not values — that separation is what makes them
+# valid positive controls for the timing gate below, which depends on
+# this stage).
 if want ct_engine_gate || [ "$STAGE" = "timing_gate" ]; then
     echo "==> ct-engine gate: bit-exactness + mutant invisibility (release)"
     SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test ct_engine_gate
@@ -122,21 +113,21 @@ if want service; then
     # Engine matrix: the same equivalence battery with each selectable
     # multiplier engine driving the worker shards
     # (ServiceConfig::default reads SABER_ENGINE), so every hot-path
-    # backend — and the auto calibration policy — is exercised under
-    # real worker concurrency, not just single-threaded fuzzing.
-    echo "==> service stress: engine matrix cached/swar/toom/ntt/ct/auto (release)"
-    for e in cached swar toom ntt ct auto; do
+    # backend is exercised under real worker concurrency, not just
+    # single-threaded fuzzing.
+    echo "==> service stress: engine matrix cached/swar/ct (release)"
+    for e in cached swar ct; do
         echo "    SABER_ENGINE=$e"
         SABER_ENGINE=$e cargo test -q --release -p saber-service --test concurrency_equivalence
     done
 
-    # Soak the default engine at full depth, then every alternative
+    # Soak the default engine at full depth, then every selectable
     # engine at a reduced budget (the soak is oracle-spot-checked, so
     # even the short runs would catch an engine corrupting state across
     # jobs).
     echo "==> service soak: SABER_SOAK_OPS=10000 (release)"
     SABER_SOAK_OPS=10000 cargo test -q --release -p saber-service --test soak
-    for e in swar toom ntt ct auto; do
+    for e in cached swar ct; do
         echo "    SABER_ENGINE=$e SABER_SOAK_OPS=2000"
         SABER_ENGINE=$e SABER_SOAK_OPS=2000 cargo test -q --release -p saber-service --test soak
     done
