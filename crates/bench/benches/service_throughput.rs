@@ -1,11 +1,11 @@
 //! **Service throughput** — worker-count scaling of the concurrent
-//! [`KemService`] against the single-thread batched engine (PR 1).
+//! [`KemService`] against the single-thread hot-path engine.
 //!
 //! For every parameter set this bench measures, closed-loop:
 //!
 //! * `matvec`: a burst of `A·s` jobs through pools of 1/2/4/8 workers,
-//!   with the raw single-thread `CachedSchoolbookMultiplier` time as
-//!   the work roofline;
+//!   with the raw single-thread time of the engine the workers run
+//!   ([`EngineKind::default`]) as the work roofline;
 //! * `kem_mixed` (Saber): the deterministic load generator's default
 //!   server mix through the same pool sizes, against a sequential run
 //!   of the identical plan.
@@ -33,7 +33,7 @@ use std::time::Instant;
 use saber_bench::tables::{ServiceBenchReport, SoakBenchEntry};
 use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::{ALL_PARAMS, SABER};
-use saber_ring::CachedSchoolbookMultiplier;
+use saber_ring::EngineKind;
 use saber_service::loadgen::{
     build_plan, run_open_loop, run_sequential, run_service, ArrivalProcess, LoadPlan,
     LoadProfile, OpMix,
@@ -66,12 +66,12 @@ fn bench_matvec(report: &mut ServiceBenchReport) {
         let matrix = Arc::new(gen_matrix(&[0x5a; 32], params));
         let secret = Arc::new(gen_secret(&[0xa5; 32], params));
 
-        // Work roofline: the single-thread batched engine, no service.
+        // Work roofline: the workers' engine on one thread, no service.
         let work_ns = {
-            let mut backend = CachedSchoolbookMultiplier::new();
+            let mut backend = EngineKind::default().build();
             measure_per_op(MATVEC_JOBS, 3, || {
                 for _ in 0..MATVEC_JOBS {
-                    let _ = std::hint::black_box(matrix.mul_vec(&secret, &mut backend));
+                    let _ = std::hint::black_box(matrix.mul_vec(&secret, backend.as_mut()));
                 }
             })
         };
@@ -118,9 +118,9 @@ fn bench_kem_mixed(report: &mut ServiceBenchReport) {
     let plan: LoadPlan = build_plan(&LoadProfile::new(&SABER, 0xBE_EF, KEM_OPS));
 
     let work_ns = {
-        let mut backend = CachedSchoolbookMultiplier::new();
+        let mut backend = EngineKind::default().build();
         measure_per_op(KEM_OPS, 2, || {
-            let _ = std::hint::black_box(run_sequential(&plan, &mut backend));
+            let _ = std::hint::black_box(run_sequential(&plan, backend.as_mut()));
         })
     };
 

@@ -1,22 +1,19 @@
-//! **Timing derby** — the dudect-style leakage detector
-//! (`saber-timing`) run over every hot-path engine, the KEM pipelines
-//! on the constant-time engine, and the two planted timing mutants,
-//! plus the ct engine's throughput cost against the cached baseline.
+//! **Timing leakage** — the dudect-style leakage detector
+//! (`saber-timing`) run over the hot-path engine, the KEM pipelines on
+//! it, and the two planted timing mutants, plus the engine's
+//! single-product latency.
 //!
 //! Roles:
 //!
-//! - `negative-control`: `SABER_ENGINE=ct` targets — the constant-time
-//!   scan must show |t| under the gate threshold.
+//! - `negative-control`: the constant-time `ct` engine and the KEM
+//!   pipelines on it — the scan must show |t| under the gate threshold.
 //! - `positive-control`: the `saber_core::fault::TimingFault` mutants —
 //!   bit-exact products with secret-dependent timing that the detector
 //!   must flag, or a passing gate proves nothing.
-//! - `survey`: the variable-time engines (cached/swar). Their
-//!   t-statistics are informative — zero-skip caches and sign branches
-//!   *should* light up here — and never fail the report.
 //!
 //! Emits `BENCH_timing.json` via
 //! [`TimingReport`](saber_bench::tables::TimingReport); the README
-//! "Constant time" section quotes its overhead number.
+//! "Constant time" section quotes its numbers.
 
 use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::tables::TimingReport;
@@ -54,7 +51,7 @@ fn record(report: &mut TimingReport, target: &str, role: &str, run: &LeakReport)
 }
 
 fn main() {
-    println!("\n=== Timing derby: fixed-vs-random leakage per engine, ct overhead ===\n");
+    println!("\n=== Timing leakage: fixed-vs-random leakage, ct engine cost ===\n");
     let cfg = TimingConfig::from_env();
     println!(
         "budget {} samples, |t| gate {}, seed {:#x}\n",
@@ -63,18 +60,15 @@ fn main() {
 
     let mut report = TimingReport::default();
 
-    // Per-engine t-statistics. Only the ct engine is a control; the
-    // variable-time engines are surveyed for the table.
-    for kind in EngineKind::ALL {
-        let role = if kind == EngineKind::Ct {
-            "negative-control"
-        } else {
-            "survey"
-        };
-        let mut target = MulTarget::engine(kind);
-        let run = detect(&mut target, &cfg, &mut MonotonicClock);
-        record(&mut report, &format!("mul/{}", kind.label()), role, &run);
-    }
+    let engine = EngineKind::default();
+    let mut target = MulTarget::engine();
+    let run = detect(&mut target, &cfg, &mut MonotonicClock);
+    record(
+        &mut report,
+        &format!("mul/{}", engine.label()),
+        "negative-control",
+        &run,
+    );
 
     // Full KEM pipelines on the ct engine (quarter budget: one decaps
     // is ~20 multiplies plus hashing).
@@ -85,11 +79,11 @@ fn main() {
     };
     kem_cfg.samples /= 4;
     let mut rng = Rng::new(cfg.seed ^ 0xDECA);
-    let mut decaps = DecapsTarget::new(EngineKind::Ct, &LIGHT_SABER, 8, &mut rng);
+    let mut decaps = DecapsTarget::new(&LIGHT_SABER, 8, &mut rng);
     let run = detect(&mut decaps, &kem_cfg, &mut MonotonicClock);
     record(&mut report, "kem/decaps-ct", "negative-control", &run);
     let mut rng = Rng::new(cfg.seed ^ 0xE9CA);
-    let mut encaps = EncapsTarget::new(EngineKind::Ct, &LIGHT_SABER, &mut rng);
+    let mut encaps = EncapsTarget::new(&LIGHT_SABER, &mut rng);
     let run = detect(&mut encaps, &kem_cfg, &mut MonotonicClock);
     record(&mut report, "kem/encaps-ct", "negative-control", &run);
 
@@ -105,8 +99,7 @@ fn main() {
         record(&mut report, label, "positive-control", &run);
     }
 
-    // Throughput cost of constant time: single-product latency, ct vs
-    // the cached baseline, on a shared dense workload.
+    // Single-product latency of the ct engine on a dense workload.
     let mut criterion = Criterion::default().configure_from_args();
     let mut state = cfg.seed | 1;
     let mut next = move || {
@@ -118,26 +111,20 @@ fn main() {
     let a = PolyQ::from_fn(|_| (next() & 0x1fff) as u16);
     let s = SecretPoly::from_fn(|_| ((next() % 11) as i8) - 5);
     let mut group = criterion.benchmark_group("timing_cost");
-    for kind in [EngineKind::Ct, EngineKind::Cached] {
-        group.bench_function(kind.label(), |b| {
-            let mut shard = kind.build();
-            b.iter(|| black_box(shard.multiply(black_box(&a), black_box(&s))));
-        });
-    }
+    group.bench_function(engine.label(), |b| {
+        let mut shard = engine.build();
+        b.iter(|| black_box(shard.multiply(black_box(&a), black_box(&s))));
+    });
     group.finish();
-    for (id, m) in criterion.results() {
-        let ns = m.mean.as_nanos() as f64;
-        match id.as_str() {
-            "timing_cost/ct" => report.ct_ns_per_product = ns,
-            "timing_cost/cached" => report.cached_ns_per_product = ns,
-            _ => {}
-        }
+    let id = format!("timing_cost/{}", engine.label());
+    if let Some((_, m)) = criterion.results().iter().find(|(k, _)| *k == id) {
+        report.ct_ns_per_product = m.mean.as_nanos() as f64;
     }
 
     println!("\n{}", report.format_text());
     assert!(
         report.controls_hold(),
-        "timing derby controls misbehaved — see the table above"
+        "timing leakage controls misbehaved — see the table above"
     );
 
     let json = report.to_json();

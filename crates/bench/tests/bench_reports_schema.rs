@@ -38,30 +38,6 @@ struct Schema {
 
 const SCHEMAS: &[Schema] = &[
     Schema {
-        file: "BENCH_batch.json",
-        bench_tag: "batch_throughput",
-        top: &[],
-        entry: &[
-            ("params", Kind::Str),
-            ("op", Kind::Str),
-            ("backend", Kind::Str),
-            ("ns_per_op", Kind::Num),
-            ("ops_per_sec", Kind::Num),
-        ],
-    },
-    Schema {
-        file: "BENCH_derby.json",
-        bench_tag: "engine_derby",
-        top: &[],
-        entry: &[
-            ("params", Kind::Str),
-            ("op", Kind::Str),
-            ("engine", Kind::Str),
-            ("ns_per_product", Kind::Num),
-            ("products_per_sec", Kind::Num),
-        ],
-    },
-    Schema {
         file: "BENCH_service.json",
         bench_tag: "service_throughput",
         top: &[("host_parallelism", Kind::Int)],
@@ -73,18 +49,6 @@ const SCHEMAS: &[Schema] = &[
             ("measured_ns_per_op", Kind::Num),
             ("projected_ns_per_op", Kind::Num),
             ("basis", Kind::Str),
-            ("ops_per_sec", Kind::Num),
-        ],
-    },
-    Schema {
-        file: "BENCH_swar.json",
-        bench_tag: "swar_throughput",
-        top: &[],
-        entry: &[
-            ("params", Kind::Str),
-            ("op", Kind::Str),
-            ("backend", Kind::Str),
-            ("ns_per_op", Kind::Num),
             ("ops_per_sec", Kind::Num),
         ],
     },
@@ -291,41 +255,8 @@ fn timing_report_verdicts_are_pass_or_leak() {
     }
 }
 
-/// Labels of the selectable engines, in [`EngineKind::ALL`] order.
-fn engine_labels() -> Vec<&'static str> {
-    EngineKind::ALL.iter().map(|k| k.label()).collect()
-}
-
-/// Every derby cell races exactly the selectable engines: a report
-/// regenerated before an engine was added or retired fails here.
-#[test]
-fn derby_report_covers_exactly_the_selectable_engines() {
-    let doc = load("BENCH_derby.json");
-    let entries = doc.get("entries").and_then(Value::as_array).expect("entries");
-    let mut cells: Vec<(&str, &str)> = Vec::new();
-    for e in entries {
-        let cell = (
-            e.str_field("params").expect("params"),
-            e.str_field("op").expect("op"),
-        );
-        if !cells.contains(&cell) {
-            cells.push(cell);
-        }
-    }
-    for (params, op) in cells {
-        let engines: Vec<&str> = entries
-            .iter()
-            .filter(|e| {
-                e.str_field("params").ok() == Some(params) && e.str_field("op").ok() == Some(op)
-            })
-            .map(|e| e.str_field("engine").expect("engine"))
-            .collect();
-        assert_eq!(engines, engine_labels(), "{params}/{op}: engine set");
-    }
-}
-
-/// The timing report surveys exactly the selectable engines, its
-/// controls hold, and the constant-time engine is the clean one.
+/// The timing report's `mul/*` rows cover exactly the hot-path engine,
+/// its controls hold, and the constant-time engine is the clean one.
 #[test]
 fn timing_report_controls_hold_over_the_selectable_engines() {
     let doc = load("BENCH_timing.json");
@@ -338,7 +269,7 @@ fn timing_report_controls_hold_over_the_selectable_engines() {
         .iter()
         .filter_map(|e| e.str_field("target").ok()?.strip_prefix("mul/"))
         .collect();
-    assert_eq!(surveyed, engine_labels(), "mul/* targets");
+    assert_eq!(surveyed, [EngineKind::default().label()], "mul/* targets");
     let ct = entries
         .iter()
         .find(|e| e.str_field("target").ok() == Some("mul/ct"))

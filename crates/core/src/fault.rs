@@ -4,8 +4,8 @@
 //! A differential test layer is only trustworthy if it demonstrably
 //! fails when the hardware is wrong. This module provides a catalogue of
 //! single-point faults — each one a realistic bug in an HS-I, HS-II or
-//! LW datapath or in the `saber_ring::swar` software mirror of the
-//! HS-II packing — and a [`FaultyMultiplier`] that runs the affected
+//! LW datapath or in a SWAR (two lanes per `u64`) software rendering of
+//! the HS-II packing — and a [`FaultyMultiplier`] that runs the affected
 //! dataflow with exactly that fault seeded. The `saber-verify`
 //! differential fuzzer is required (and CI-gated) to detect **every**
 //! variant: a mutation-style check proving the test corpus exercises the
@@ -73,7 +73,8 @@ pub enum Fault {
     /// LW: the secret sign line into the MAC is stuck at *add* — every
     /// selected multiple is accumulated with positive sign.
     LwSecretSignIgnored,
-    /// SWAR software backend (`saber_ring::swar`): the decode-time
+    /// SWAR software dataflow (the HS-II packing on two 32-bit lanes
+    /// per `u64`, replayed inside this mutant): the decode-time
     /// inter-lane carry repair is dropped — the deferred `+C` negation
     /// completion still runs, but the carries that complement rows
     /// pushed across the 32-bit lane boundary are never subtracted back
@@ -198,8 +199,8 @@ pub enum TimingFault {
     /// A SWAR-style row pipeline whose magnitude rows are built
     /// unconditionally but whose *negative* rows take an extra explicit
     /// negation pass — runtime depends on the secret's sign pattern,
-    /// the data-dependent branch the real `saber_ring::swar` engine
-    /// hides inside its complement trick.
+    /// the data-dependent branch a SWAR complement-row schedule
+    /// introduces when ported to software.
     SwarRowSelectBranch,
 }
 
@@ -496,8 +497,8 @@ fn lw_wrap_sign_dropped(a: &PolyQ, s: &SecretPoly) -> PolyQ {
     PolyQ::from_coeffs(acc)
 }
 
-/// SWAR lane dataflow (same packing, complement rows and deferred-`+C`
-/// negation completion as `saber_ring::swar`) with the decode-time
+/// SWAR lane dataflow (two coefficients per `u64`, complement rows and
+/// a deferred-`+C` negation completion) with the decode-time
 /// inter-lane carry repair removed: low-lane wraps from complement rows
 /// leak into the high lane and are never subtracted back out.
 fn swar_carry_repair_dropped(a: &PolyQ, s: &SecretPoly) -> PolyQ {

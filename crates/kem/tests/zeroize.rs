@@ -28,7 +28,7 @@ fn kem_sk_secret_bytes(sk: &KemSecretKey) -> Vec<u8> {
 }
 
 fn fresh_key(seed: u8) -> KemSecretKey {
-    let mut backend = EngineKind::Cached.build();
+    let mut backend = EngineKind::default().build();
     keygen(&LIGHT_SABER, &[seed; 32], backend.as_mut()).1
 }
 
@@ -48,7 +48,7 @@ fn cpa_secret_key_zeroize_wipes_the_secret_vector() {
 
 #[test]
 fn shared_secret_zeroize_wipes_the_key_bytes() {
-    let mut backend = EngineKind::Cached.build();
+    let mut backend = EngineKind::default().build();
     let (pk, _) = keygen(&LIGHT_SABER, &[0x33; 32], backend.as_mut());
     let (_, ss) = encaps(&pk, &[0x44; 32], backend.as_mut());
     assert_zeroize_clears(ss, |ss: &SharedSecret| ss.as_bytes().to_vec());
@@ -58,7 +58,7 @@ fn shared_secret_zeroize_wipes_the_key_bytes() {
 fn dropping_secrets_fires_the_zeroize_counters() {
     let session = saber_trace::start();
     {
-        let mut backend = EngineKind::Cached.build();
+        let mut backend = EngineKind::default().build();
         let (pk, sk) = keygen(&LIGHT_SABER, &[0x55; 32], backend.as_mut());
         let (ct, ss_enc) = encaps(&pk, &[0x66; 32], backend.as_mut());
         let ss_dec = decaps(&sk, &ct, backend.as_mut());

@@ -1,23 +1,16 @@
 //! Constant-time schoolbook multiplier: secret-independent scan order
 //! and memory access pattern.
 //!
-//! The software mirrors of the paper's hardware schedules trade timing
-//! uniformity for structure in ways that depend on the *secret* operand:
-//!
-//! - the HS-I cached engine ([`crate::cached`]) builds value-indexed
-//!   buckets and scans only the positions holding each nonzero secret
-//!   value, so its work is proportional to the secret's support;
-//! - the HS-II SWAR engine ([`crate::swar`]) takes a complement-trick
-//!   path only for negative packed rows, so its work depends on the
-//!   secret's sign pattern;
-//!
-//! [`CtSchoolbookMultiplier`] is the hardened alternative and the
-//! default hot-path engine (`SABER_ENGINE=ct`): a fixed-order 256 × 256
-//! multiply-accumulate scan whose iteration count, branch trace, and
-//! memory addresses are identical for every secret in the domain. There
-//! is no zero skip, no sign branch, and no value-indexed table —
-//! coefficient `j` of the secret always touches accumulator slots
-//! `j .. j + 256` in the same order, whatever its value.
+//! [`CtSchoolbookMultiplier`] is the workspace's one hot-path engine: a
+//! fixed-order 256 × 256 multiply-accumulate scan whose iteration count,
+//! branch trace, and memory addresses are identical for every secret in
+//! the domain. There is no zero skip, no sign branch, and no
+//! value-indexed table — coefficient `j` of the secret always touches
+//! accumulator slots `j .. j + 256` in the same order, whatever its
+//! value. Those are exactly the structures a software copy of the
+//! paper's HS-I (value buckets over the secret's support) or HS-II
+//! (a complement path for negative secret rows) schedule would bring,
+//! which is why that structure stays in the hardware cycle models.
 //!
 //! The residual assumption, standard for this style of hardening, is
 //! that the CPU's integer multiply has operand-independent latency
@@ -47,8 +40,8 @@ use crate::mul::PolyMultiplier;
 use crate::poly::PolyQ;
 use crate::secret::SecretPoly;
 
-/// Constant-time fixed-scan schoolbook backend (`SABER_ENGINE=ct`, the
-/// default engine).
+/// Constant-time fixed-scan schoolbook backend: the hot-path engine
+/// behind [`EngineKind`](crate::engine::EngineKind).
 ///
 /// Stateless: the accumulator lives on the stack of each
 /// [`multiply`](PolyMultiplier::multiply) call, so no secret-dependent

@@ -14,24 +14,17 @@
 //! * [`secret::SecretPoly`] — the small-coefficient operand (|s| ≤ 5);
 //! * [`schoolbook`] — the obviously-correct reference multiplier
 //!   (Algorithm 1 of the paper);
-//! * [`cached`] — the schoolbook algorithm restructured the way the
-//!   paper's HS-I architecture computes it (multiple caching + secret
-//!   value buckets), the fast software path behind batched mat-vec;
-//! * [`swar`] — the paper's HS-II sub-word packing transposed onto
-//!   64-bit words (two coefficients per `u64`, conditional negation via
-//!   lane complements, explicit middle-carry repair), selectable as the
-//!   hot-path engine via [`engine::EngineKind`];
 //! * [`karatsuba`] — recursive Karatsuba, including the fully-unrolled
 //!   8-level variant used by the high-performance design of Zhu et al.;
 //! * [`toom`] — Toom-Cook 4-way, the multiplier of the original Saber
 //!   submission and the DAC 2020 co-processor;
 //! * [`ntt`] — multiplication via an NTT over a 64-bit prime field,
 //!   the "NTT for NTT-unfriendly rings" approach of Chung et al.;
-//! * [`ct`] — the constant-time fixed-scan schoolbook engine and the
-//!   default hot path (`SABER_ENGINE=ct`): wrapping `u16` lanes, exact
-//!   because `2^13` divides `2^16`, with a secret-independent scan order
-//!   and memory access pattern held to that claim by the `saber-timing`
-//!   gate;
+//! * [`ct`] — the constant-time fixed-scan schoolbook engine, the one
+//!   hot-path engine ([`engine::EngineKind`]): wrapping `u16` lanes,
+//!   exact because `2^13` divides `2^16`, with a secret-independent scan
+//!   order and memory access pattern held to that claim by the
+//!   `saber-timing` gate;
 //! * [`rounding`], [`packing`], [`matrix`] — the scaling, serialization
 //!   and module-lattice plumbing required by the Saber KEM;
 //! * [`mul::PolyMultiplier`] — the backend trait implemented both by the
@@ -52,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cached;
 pub mod ct;
 pub mod engine;
 pub mod karatsuba;
@@ -66,10 +58,8 @@ pub mod poly;
 pub mod rounding;
 pub mod schoolbook;
 pub mod secret;
-pub mod swar;
 pub mod toom;
 
-pub use cached::CachedSchoolbookMultiplier;
 pub use ct::CtSchoolbookMultiplier;
 pub use engine::EngineKind;
 pub use matrix::{PolyMatrix, PolyVec, SecretVec};
@@ -77,4 +67,3 @@ pub use modulus::{EPS_P, EPS_Q, N, P, Q};
 pub use mul::PolyMultiplier;
 pub use poly::{Poly, PolyP, PolyQ};
 pub use secret::SecretPoly;
-pub use swar::SwarMultiplier;

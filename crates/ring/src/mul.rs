@@ -43,13 +43,10 @@ pub trait PolyMultiplier {
     /// order.
     ///
     /// The default implementation loops over [`multiply`](Self::multiply),
-    /// so every backend is automatically batch-capable. Backends that can
-    /// amortize per-operand work across the batch — notably
-    /// [`CachedSchoolbookMultiplier`](crate::cached::CachedSchoolbookMultiplier),
-    /// which decomposes each distinct secret once no matter how many
-    /// publics it is paired with — override this. Matrix–vector products
-    /// route through here so rank-`l` products present all `l²` pairs at
-    /// once.
+    /// so every backend is automatically batch-capable; a backend that can
+    /// amortize per-operand work across the batch may override it.
+    /// Matrix–vector products route through here so rank-`l` products
+    /// present all `l²` pairs at once.
     fn multiply_batch(&mut self, ops: &[(&PolyQ, &SecretPoly)]) -> Vec<PolyQ> {
         ops.iter().map(|(a, s)| self.multiply(a, s)).collect()
     }

@@ -1,15 +1,14 @@
 //! Regression coverage for the batched matrix–vector path: routing
 //! `mul_vec` / `mul_vec_transposed` / `inner_product_mod_p` through
 //! `multiply_batch` must not change any result, for any rank Saber uses
-//! (2, 3, 4) and for both the default-batch and the batch-optimized
-//! backends.
+//! (2, 3, 4), on the schoolbook oracle and on the hot-path `ct` engine.
 //!
 //! Driven by the deterministic `saber-testkit` harness (the offline
 //! replacement for proptest).
 
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_ring::{
-    schoolbook, CachedSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyP, PolyQ, PolyVec,
+    schoolbook, CtSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyP, PolyQ, PolyVec,
     SecretPoly, SecretVec,
 };
 use saber_testkit::{cases, Rng};
@@ -62,10 +61,10 @@ fn mul_vec_unchanged_for_all_saber_ranks() {
             let expected_t = reference_mul_vec(&a, &s, true);
 
             let mut oracle = SchoolbookMultiplier;
-            let mut cached = CachedSchoolbookMultiplier::new();
+            let mut ct = CtSchoolbookMultiplier::new();
             for backend in [
                 &mut oracle as &mut dyn PolyMultiplier,
-                &mut cached as &mut dyn PolyMultiplier,
+                &mut ct as &mut dyn PolyMultiplier,
             ] {
                 assert_eq!(
                     a.mul_vec(&s, backend),
@@ -106,10 +105,10 @@ fn inner_product_mod_p_unchanged_for_all_saber_ranks() {
             let expected = acc.reduce_to::<10>();
 
             let mut oracle = SchoolbookMultiplier;
-            let mut cached = CachedSchoolbookMultiplier::new();
+            let mut ct = CtSchoolbookMultiplier::new();
             for backend in [
                 &mut oracle as &mut dyn PolyMultiplier,
-                &mut cached as &mut dyn PolyMultiplier,
+                &mut ct as &mut dyn PolyMultiplier,
             ] {
                 assert_eq!(
                     b.inner_product_mod_p(&s, backend),
@@ -126,8 +125,8 @@ fn inner_product_mod_p_unchanged_for_all_saber_ranks() {
 #[test]
 fn repeated_secrets_in_a_batch_share_state_safely() {
     // A pathological batch: the same secret reference many times, plus a
-    // value-equal clone at a different address — both must hit the
-    // decomposition cache without corrupting results.
+    // value-equal clone at a different address — reuse across the batch
+    // must not corrupt any result.
     for mut rng in cases(8) {
         let s = SecretPoly::from_fn(|_| rng.secret_coeff(5));
         let s_clone = s.clone();
@@ -139,8 +138,8 @@ fn repeated_secrets_in_a_batch_share_state_safely() {
             .enumerate()
             .map(|(k, a)| (a, if k % 2 == 0 { &s } else { &s_clone }))
             .collect();
-        let mut cached = CachedSchoolbookMultiplier::new();
-        let batched = cached.multiply_batch(&ops);
+        let mut ct = CtSchoolbookMultiplier::new();
+        let batched = ct.multiply_batch(&ops);
         for (k, (a, secret)) in ops.iter().enumerate() {
             assert_eq!(
                 batched[k],

@@ -1,5 +1,5 @@
 //! Property battery for the constant-time engine
-//! ([`saber_ring::ct::CtSchoolbookMultiplier`], `SABER_ENGINE=ct`):
+//! ([`saber_ring::ct::CtSchoolbookMultiplier`], the hot-path engine):
 //! bit-exact against the schoolbook oracle across all three Saber
 //! parameter-set secret bounds and batch sizes 1/4/16/64, with the
 //! batch path identical to the mapped path — the per-engine deep dive
@@ -45,13 +45,13 @@ fn ct_batch_matches_mapped_and_oracle_across_bounds_and_batch_sizes() {
                 .iter()
                 .map(|(a, s)| schoolbook::mul_asym(a, s))
                 .collect();
-            let mut batch_shard = EngineKind::Ct.build();
+            let mut batch_shard = EngineKind::default().build();
             assert_eq!(
                 batch_shard.multiply_batch(&ops),
                 expected,
                 "ct batch path, bound {bound}, batch {batch}"
             );
-            let mut mapped_shard = EngineKind::Ct.build();
+            let mut mapped_shard = EngineKind::default().build();
             let mapped: Vec<PolyQ> = ops
                 .iter()
                 .map(|(a, s)| mapped_shard.multiply(a, s))

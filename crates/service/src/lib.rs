@@ -2,10 +2,9 @@
 //! Saber multiplier reproduction.
 //!
 //! The paper's high-speed designs win by keeping many MAC lanes busy on
-//! one shared operand stream; the batched
-//! [`CachedSchoolbookMultiplier`](saber_ring::CachedSchoolbookMultiplier)
-//! engine (PR 1) is that idea in software, but on one thread. This
-//! crate scales the same verified datapath across cores the way the
+//! one shared operand stream; the [`EngineKind`](saber_ring::EngineKind)
+//! hot-path engine is a verified datapath in software, but on one
+//! thread. This crate scales it across cores the way the
 //! ASIC design-space work replicates compute units: a fixed pool of
 //! worker threads, each owning its **own multiplier shard** (no lock,
 //! no sharing on the hot path), fed by **per-worker bounded deques with

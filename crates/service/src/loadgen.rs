@@ -34,9 +34,7 @@ use saber_keccak::Sha3_256;
 use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::SaberParams;
 use saber_kem::{serialize, Ciphertext, KemSecretKey, PublicKey};
-use saber_ring::{
-    CachedSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyVec, SecretVec,
-};
+use saber_ring::{EngineKind, PolyMatrix, PolyMultiplier, PolyVec, SecretVec};
 use saber_testkit::Rng;
 
 use crate::metrics::{HistogramSnapshot, OpKind};
@@ -216,11 +214,11 @@ impl std::error::Error for LoadError {}
 pub fn build_plan(profile: &LoadProfile) -> LoadPlan {
     assert!(profile.mix.total() > 0, "op mix must have positive weight");
     let mut rng = Rng::new(profile.seed);
-    let mut backend = CachedSchoolbookMultiplier::new();
+    let mut backend = EngineKind::default().build();
 
     let pool = profile.keyring.max(1);
     let keyring: Vec<(PublicKey, KemSecretKey)> = (0..pool)
-        .map(|_| saber_kem::keygen(profile.params, &rng.bytes32(), &mut backend))
+        .map(|_| saber_kem::keygen(profile.params, &rng.bytes32(), backend.as_mut()))
         .collect();
     let matrices: Vec<Arc<PolyMatrix>> = (0..pool)
         .map(|_| Arc::new(gen_matrix(&rng.bytes32(), profile.params)))
@@ -249,7 +247,7 @@ pub fn build_plan(profile: &LoadProfile) -> LoadPlan {
                 // job is a single, self-contained unit of service work.
                 let key = rng.range_usize(0, pool - 1);
                 let (ct, _) =
-                    saber_kem::encaps(&keyring[key].0, &rng.bytes32(), &mut backend);
+                    saber_kem::encaps(&keyring[key].0, &rng.bytes32(), backend.as_mut());
                 return PlannedOp::Decaps {
                     key,
                     ct: Box::new(ct),
@@ -700,9 +698,12 @@ mod tests {
     #[test]
     fn sequential_transcript_is_reproducible() {
         let plan = build_plan(&LoadProfile::new(&SABER, 3, 8));
-        let mut b1 = CachedSchoolbookMultiplier::new();
-        let mut b2 = CachedSchoolbookMultiplier::new();
-        assert_eq!(run_sequential(&plan, &mut b1), run_sequential(&plan, &mut b2));
+        let mut b1 = EngineKind::default().build();
+        let mut b2 = EngineKind::default().build();
+        assert_eq!(
+            run_sequential(&plan, b1.as_mut()),
+            run_sequential(&plan, b2.as_mut())
+        );
     }
 
     #[test]

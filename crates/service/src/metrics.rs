@@ -728,14 +728,14 @@ mod tests {
     #[test]
     fn engine_labels_are_recorded_sorted_and_survive_json() {
         let m = Metrics::default();
-        m.record_engine("swar");
-        m.record_engine("cached");
-        m.record_engine("cached");
+        m.record_engine("beta");
+        m.record_engine("alpha");
+        m.record_engine("alpha");
         let r = m.snapshot(3, 8, 0);
-        assert_eq!(r.engines, ["cached", "cached", "swar"], "sorted snapshot");
+        assert_eq!(r.engines, ["alpha", "alpha", "beta"], "sorted snapshot");
         let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back.engines, r.engines);
-        assert!(r.format_summary().contains("engines=cached,cached,swar"));
+        assert!(r.format_summary().contains("engines=alpha,alpha,beta"));
     }
 
     #[test]

@@ -21,16 +21,14 @@
 //! capacity, metering the over-capacity admissions, and shed only at
 //! the hard cap.
 //!
-//! Each worker owns one multiplier shard built from the configured
-//! [`EngineKind`] — the constant-time `ct` engine by default, or the
-//! cached HS-I mirror or the SWAR HS-II mirror (`ServiceConfig::engine`,
-//! honouring `SABER_ENGINE`) — the software analogue of the paper
+//! Each worker owns one multiplier shard built from [`EngineKind`] —
+//! the constant-time `ct` engine — the software analogue of the paper
 //! replicating a verified datapath per compute unit. The engine each
 //! shard was built from is recorded in the [`ServiceReport`] `engines`
-//! field. The shard is worker-local,
-//! so the hot path (multiple caching or lane scans, Keccak) runs with
-//! **no lock held and no sharing**; the only synchronized structures
-//! are the O(1) queue operations and the one-shot result slots.
+//! field. The shard is worker-local, so the hot path (the lane scan,
+//! Keccak) runs with **no lock held and no sharing**; the only
+//! synchronized structures are the O(1) queue operations and the
+//! one-shot result slots.
 //!
 //! ## Failure containment
 //!
@@ -175,9 +173,6 @@ pub struct ServiceConfig {
     /// Bounded queue capacity; submissions beyond it are rejected
     /// (under [`OverloadPolicy::Degrade`], beyond the hard cap).
     pub queue_capacity: usize,
-    /// Multiplier engine each worker shard is built from: one of the
-    /// oracle-verified software backends in [`EngineKind::ALL`].
-    pub engine: EngineKind,
     /// Dispatch scheduler: per-worker stealing deques (default) or the
     /// single-FIFO baseline.
     pub scheduler: SchedulerKind,
@@ -192,18 +187,15 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     /// Four workers over a 64-deep queue: a deliberately fixed default
     /// (not `available_parallelism`) so behaviour is identical on every
-    /// host; size explicitly for production use. The engine honours the
-    /// `SABER_ENGINE` environment variable (default: the constant-time
-    /// `ct` engine), the scheduler honours `SABER_SCHED` (default: work
-    /// stealing), the overload policy honours `SABER_OVERLOAD`
-    /// (default: reject), and the steal seed honours `SABER_STEAL_SEED`
-    /// — so CI can sweep the whole test battery per engine, scheduler,
-    /// and steal order.
+    /// host; size explicitly for production use. The scheduler honours
+    /// `SABER_SCHED` (default: work stealing), the overload policy
+    /// honours `SABER_OVERLOAD` (default: reject), and the steal seed
+    /// honours `SABER_STEAL_SEED` — so CI can sweep the whole test
+    /// battery per scheduler and steal order.
     fn default() -> Self {
         Self {
             workers: 4,
             queue_capacity: 64,
-            engine: EngineKind::from_env(),
             scheduler: SchedulerKind::from_env(),
             overload: OverloadPolicy::from_env(),
             steal_seed: steal_seed_from_env(),
@@ -465,8 +457,6 @@ struct Inner {
     queue: Dispatch,
     metrics: Metrics,
     workers: usize,
-    /// The engine every shard builds.
-    engine: EngineKind,
     /// The configured (soft) capacity reported to callers; the
     /// dispatch's hard bound may be larger under `Degrade`.
     soft_capacity: usize,
@@ -531,7 +521,6 @@ impl KemService {
             queue,
             metrics: Metrics::default(),
             workers: config.workers,
-            engine: config.engine,
             soft_capacity: config.queue_capacity,
             overload: config.overload,
             steal_seed: config.steal_seed,
@@ -827,9 +816,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn worker_loop(inner: &Inner, worker: usize) {
-    let kind = inner.engine;
-    let mut shard = kind.build();
-    inner.metrics.record_engine(kind.label());
+    let engine = EngineKind::default();
+    let mut shard = engine.build();
+    inner.metrics.record_engine(engine.label());
     // Every steal/victim decision this worker makes is drawn from a
     // seeded stream: the pool seed mixed with the worker index
     // (SplitMix64-style odd-constant spread so adjacent workers do not
@@ -891,9 +880,8 @@ fn worker_loop(inner: &Inner, worker: usize) {
             }
             Err(payload) => {
                 // The shard's scratch state is suspect after an unwind
-                // mid-multiplication: rebuild it (same engine), fail
-                // only this job.
-                shard = kind.build();
+                // mid-multiplication: rebuild it, fail only this job.
+                shard = engine.build();
                 inner.metrics.record_failed_panic();
                 // The panic hook already dumped at panic time; this
                 // extra dump is the *recovery-site* context (post-

@@ -758,13 +758,13 @@ mod tests {
 
     fn sample_snapshot() -> MetricsSnapshot {
         let m = Metrics::default();
-        m.record_engine("cached");
+        m.record_engine("ct");
         m.record_completed(OpKind::Encaps, 1_000, 2_500);
         m.record_completed(OpKind::Decaps, 20_000_000, 999);
         MetricsSnapshot::new(m.snapshot(2, 8, 1))
             .with_counters(vec![
                 ("panic.dump".into(), 2),
-                ("hs1.bucket_hits".into(), 41),
+                ("kem.implicit_rejects".into(), 41),
             ])
             .with_soc(SocSection {
                 makespan: 395,
@@ -793,7 +793,7 @@ mod tests {
         let back = MetricsSnapshot::from_json_str(&text).expect("roundtrip parses");
         assert_eq!(back, snap);
         // Counters came back sorted (with_counters sorted them going in).
-        assert_eq!(back.counters[0].0, "hs1.bucket_hits");
+        assert_eq!(back.counters[0].0, "kem.implicit_rejects");
     }
 
     #[test]

@@ -40,7 +40,7 @@ const ENCAPS_JOBS: usize = 3;
 
 #[test]
 fn mid_batch_panics_are_contained_counted_once_and_leak_nothing() {
-    let mut backend = EngineKind::Cached.build();
+    let mut backend = EngineKind::default().build();
     let (pk, sk) = keygen(&LIGHT_SABER, &[0x42; 32], backend.as_mut());
     let (ct, ss_expected) = encaps(&pk, &[0x43; 32], backend.as_mut());
     assert_eq!(decaps(&sk, &ct, backend.as_mut()), ss_expected);
@@ -52,7 +52,6 @@ fn mid_batch_panics_are_contained_counted_once_and_leak_nothing() {
         let service = KemService::spawn(&ServiceConfig {
             workers: WORKERS,
             queue_capacity: QUEUE,
-            engine: EngineKind::Cached,
             ..ServiceConfig::default()
         });
 

@@ -130,16 +130,11 @@ fn service_report_roundtrips_through_json() {
         report
     );
 
-    // Every worker recorded the engine its shard was built from (a
-    // parseable engine label, never a selection policy such as the
-    // retired `auto`), and the labels survive JSON.
+    // Every worker recorded the engine its shard was built from, and
+    // the labels survive JSON.
     assert_eq!(report.engines.len(), 2, "one label per worker");
     for label in &report.engines {
-        assert_ne!(label, "auto", "report records an engine, not a policy");
-        assert!(
-            saber_ring::EngineKind::parse(label).is_some(),
-            "unknown engine label {label:?}"
-        );
+        assert_eq!(label, saber_ring::EngineKind::default().label());
     }
     assert!(text.contains("\"engines\""));
     assert_eq!(back.engines, report.engines);

@@ -22,7 +22,7 @@ const DECAPS_JOBS: usize = 4;
 
 #[test]
 fn drained_decaps_jobs_zeroize_their_key_buffers() {
-    let mut backend = EngineKind::Cached.build();
+    let mut backend = EngineKind::default().build();
     let (pk, sk) = keygen(&LIGHT_SABER, &[0x7A; 32], backend.as_mut());
     let (ct, ss_expected) = encaps(&pk, &[0x7B; 32], backend.as_mut());
     assert_eq!(decaps(&sk, &ct, backend.as_mut()), ss_expected);

@@ -39,13 +39,12 @@
 //! # Example
 //!
 //! ```
-//! use saber_ring::EngineKind;
 //! use saber_timing::{detect, MulTarget, TimingConfig, Verdict};
 //! use saber_trace::MonotonicClock;
 //!
 //! let mut cfg = TimingConfig::with_samples(64); // doc-sized budget
 //! cfg.min_kept = usize::MAX;                    // force Inconclusive
-//! let mut target = MulTarget::engine(EngineKind::Ct);
+//! let mut target = MulTarget::engine();
 //! let report = detect(&mut target, &cfg, &mut MonotonicClock);
 //! assert_eq!(report.verdict, Verdict::Inconclusive);
 //! assert_eq!(report.samples_collected, 64);

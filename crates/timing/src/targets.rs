@@ -1,5 +1,6 @@
-//! Ready-made [`TimingTarget`]s: every hot-path multiplier engine, and
-//! the full KEM encapsulation/decapsulation pipelines.
+//! Ready-made [`TimingTarget`]s: the hot-path multiplier engine, any
+//! boxed backend, and the full KEM encapsulation/decapsulation
+//! pipelines on the engine.
 //!
 //! Class semantics follow dudect's fixed-vs-random recipe, with the
 //! *secret* as the class variable and everything public randomized in
@@ -34,10 +35,10 @@ pub struct MulTarget {
 }
 
 impl MulTarget {
-    /// Target for a selectable engine, at the full LightSaber bound.
+    /// Target for the hot-path engine, at the full LightSaber bound.
     #[must_use]
-    pub fn engine(kind: EngineKind) -> Self {
-        Self::from_backend(kind.build(), 5)
+    pub fn engine() -> Self {
+        Self::from_backend(EngineKind::default().build(), 5)
     }
 
     /// Target for an arbitrary backend (the timing mutants enter here),
@@ -101,8 +102,8 @@ impl DecapsTarget {
     /// `params`, running all key generation up front (outside any timed
     /// region).
     #[must_use]
-    pub fn new(kind: EngineKind, params: &SaberParams, pool_size: usize, rng: &mut Rng) -> Self {
-        let mut backend = kind.build();
+    pub fn new(params: &SaberParams, pool_size: usize, rng: &mut Rng) -> Self {
+        let mut backend = EngineKind::default().build();
         let mut pair = |rng: &mut Rng| {
             let (pk, sk) = keygen(params, &rng.bytes32(), backend.as_mut());
             let (ct, _ss) = encaps(&pk, &rng.bytes32(), backend.as_mut());
@@ -147,8 +148,8 @@ pub struct EncapsTarget {
 impl EncapsTarget {
     /// Builds the key pair up front (outside any timed region).
     #[must_use]
-    pub fn new(kind: EngineKind, params: &SaberParams, rng: &mut Rng) -> Self {
-        let mut backend = kind.build();
+    pub fn new(params: &SaberParams, rng: &mut Rng) -> Self {
+        let mut backend = EngineKind::default().build();
         let (pk, _sk) = keygen(params, &rng.bytes32(), backend.as_mut());
         let fixed_entropy = rng.bytes32();
         Self {
@@ -182,7 +183,7 @@ mod tests {
 
     #[test]
     fn mul_target_classes_differ_only_in_the_secret() {
-        let mut target = MulTarget::engine(EngineKind::Cached);
+        let mut target = MulTarget::engine();
         let mut rng = Rng::new(42);
         let (_, s_fixed) = target.prepare(Class::Fixed, &mut rng);
         let (_, s_fixed2) = target.prepare(Class::Fixed, &mut rng);
@@ -194,26 +195,24 @@ mod tests {
     }
 
     #[test]
-    fn mul_target_executes_on_every_engine() {
+    fn mul_target_executes_on_the_engine() {
         let mut rng = Rng::new(7);
-        for kind in EngineKind::ALL {
-            let mut target = MulTarget::engine(kind);
-            for class in [Class::Fixed, Class::Random] {
-                let input = target.prepare(class, &mut rng);
-                target.execute(&input);
-            }
+        let mut target = MulTarget::engine();
+        for class in [Class::Fixed, Class::Random] {
+            let input = target.prepare(class, &mut rng);
+            target.execute(&input);
         }
     }
 
     #[test]
     fn kem_targets_run_end_to_end() {
         let mut rng = Rng::new(9);
-        let mut dec = DecapsTarget::new(EngineKind::Cached, &LIGHT_SABER, 4, &mut rng);
+        let mut dec = DecapsTarget::new(&LIGHT_SABER, 4, &mut rng);
         for class in [Class::Fixed, Class::Random] {
             let input = dec.prepare(class, &mut rng);
             dec.execute(&input);
         }
-        let mut enc = EncapsTarget::new(EngineKind::Cached, &LIGHT_SABER, &mut rng);
+        let mut enc = EncapsTarget::new(&LIGHT_SABER, &mut rng);
         for class in [Class::Fixed, Class::Random] {
             let input = enc.prepare(class, &mut rng);
             enc.execute(&input);

@@ -2,8 +2,8 @@
 //!
 //! Two halves, and both matter:
 //!
-//! - **Negative control**: the constant-time engine (`SABER_ENGINE=ct`,
-//!   `saber_ring::ct::CtSchoolbookMultiplier`) must show |t| under the
+//! - **Negative control**: the constant-time engine
+//!   (`saber_ring::ct::CtSchoolbookMultiplier`) must show |t| under the
 //!   threshold on fixed-vs-random secret classes — for the raw
 //!   multiply and for the full KEM pipelines built on it.
 //! - **Positive controls**: the two planted timing mutants
@@ -17,7 +17,6 @@
 //! reruns.
 
 use saber_core::fault::{TimingFault, TimingLeakMultiplier};
-use saber_ring::EngineKind;
 use saber_timing::{detect, DecapsTarget, EncapsTarget, MulTarget, TimingConfig, Verdict};
 use saber_testkit::Rng;
 use saber_trace::MonotonicClock;
@@ -25,7 +24,7 @@ use saber_trace::MonotonicClock;
 #[test]
 fn ct_engine_is_timing_clean_on_fixed_vs_random_secrets() {
     let cfg = TimingConfig::from_env();
-    let mut target = MulTarget::engine(EngineKind::Ct);
+    let mut target = MulTarget::engine();
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,
@@ -72,7 +71,7 @@ fn kem_decaps_on_the_ct_engine_is_timing_clean() {
     };
     cfg.samples /= 4;
     let mut rng = Rng::new(cfg.seed ^ 0xDECA);
-    let mut target = DecapsTarget::new(EngineKind::Ct, &saber_kem::LIGHT_SABER, 8, &mut rng);
+    let mut target = DecapsTarget::new(&saber_kem::LIGHT_SABER, 8, &mut rng);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,
@@ -91,7 +90,7 @@ fn kem_encaps_on_the_ct_engine_is_timing_clean() {
     };
     cfg.samples /= 4;
     let mut rng = Rng::new(cfg.seed ^ 0xE9CA);
-    let mut target = EncapsTarget::new(EngineKind::Ct, &saber_kem::LIGHT_SABER, &mut rng);
+    let mut target = EncapsTarget::new(&saber_kem::LIGHT_SABER, &mut rng);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,

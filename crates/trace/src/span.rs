@@ -114,7 +114,7 @@ pub enum EventKind {
 pub struct TraceEvent {
     /// Subsystem label (`"kem"`, `"ring"`, `"service"`, …).
     pub category: &'static str,
-    /// Event name (`"kem.encaps"`, `"hs1.bucket_build"`, …).
+    /// Event name (`"kem.encaps"`, `"steal.hit"`, …).
     pub name: &'static str,
     /// Compact thread id (1-based, assigned per thread on first probe).
     pub tid: u64,

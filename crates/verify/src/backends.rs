@@ -14,9 +14,7 @@ use saber_core::{
 use saber_ring::mul::{
     CrtNttMultiplier, KaratsubaMultiplier, NttMultiplier, ToomCook4Multiplier,
 };
-use saber_ring::{
-    CachedSchoolbookMultiplier, CtSchoolbookMultiplier, PolyMultiplier, SwarMultiplier,
-};
+use saber_ring::{CtSchoolbookMultiplier, PolyMultiplier};
 
 /// One registered backend: how to build it and what it accepts.
 pub struct BackendEntry {
@@ -61,20 +59,16 @@ pub fn registry() -> Vec<BackendEntry> {
     }
     vec![
         // Software algorithms (crates/ring).
-        entry("cached-schoolbook", 5, || {
-            Box::new(CachedSchoolbookMultiplier::new())
-        }),
         entry("karatsuba-1", 5, || {
             Box::new(KaratsubaMultiplier { levels: 1 })
         }),
         entry("karatsuba-8", 5, || {
             Box::new(KaratsubaMultiplier { levels: 8 })
         }),
-        entry("swar", 5, || Box::new(SwarMultiplier::new())),
         entry("toom-cook-4", 5, || Box::new(ToomCook4Multiplier)),
         entry("ntt", 5, || Box::new(NttMultiplier)),
         entry("crt-ntt", 5, || Box::new(CrtNttMultiplier)),
-        // Constant-time default engine (crates/ring): SABER_ENGINE=ct. Its
+        // Constant-time hot-path engine (crates/ring). Its
         // *timing* contract is the saber-timing gate's job; here it is
         // just one more backend that must stay bit-exact.
         entry("ct-schoolbook", 5, || Box::new(CtSchoolbookMultiplier::new())),
@@ -112,7 +106,7 @@ mod tests {
     #[test]
     fn registry_is_stable_and_named_uniquely() {
         let reg = registry();
-        assert_eq!(reg.len(), 20, "keep the registry in sync with the workspace");
+        assert_eq!(reg.len(), 18, "keep the registry in sync with the workspace");
         let mut names: Vec<&str> = reg.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();

@@ -203,8 +203,8 @@ mod tests {
             cases_per_set: 6,
         });
         assert!(report.mismatches.is_empty(), "{report}");
-        // LightSaber skips the two HS-II lanes: 18 + 20 + 20 backends.
-        assert_eq!(report.products_checked, 6 * (18 + 20 + 20));
+        // LightSaber skips the two HS-II lanes: 16 + 18 + 18 backends.
+        assert_eq!(report.products_checked, 6 * (16 + 18 + 18));
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! CI gate for the constant-time default engine
-//! (`saber_ring::ct::CtSchoolbookMultiplier`, `SABER_ENGINE=ct`).
+//! CI gate for the constant-time hot-path engine
+//! (`saber_ring::ct::CtSchoolbookMultiplier`).
 //!
-//! Mirrors `swar_gate.rs`: the ct engine must be bit-exact
-//! against the schoolbook oracle over the full configured fuzz budget
-//! (2,048 cases per set in release CI). The timing *mutants*, by
+//! The ct engine must be bit-exact against the schoolbook oracle over
+//! the full configured fuzz budget (2,048 cases per set in release CI). The timing *mutants*, by
 //! contrast, must be functionally invisible here — they compute correct
 //! products with secret-dependent timing, which is exactly why the
 //! differential fuzzer cannot stand in for the timing gate

@@ -13,16 +13,15 @@ use saber_service::{
 };
 
 fn main() {
-    // A fixed pool: 4 workers, each owning its own multiplier shard
-    // built from the selected engine (`SABER_ENGINE=cached|swar|ct`, ct
-    // by default); a 32-deep bounded queue (submissions beyond it are
-    // rejected with SubmitError::QueueFull, never buffered unboundedly).
+    // A fixed pool: 4 workers, each owning its own multiplier shard of
+    // the constant-time `ct` engine; a 32-deep bounded queue
+    // (submissions beyond it are rejected with SubmitError::QueueFull,
+    // never buffered unboundedly).
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: 32,
         ..ServiceConfig::default()
     };
-    println!("worker shards use the '{}' engine", config.engine);
     let service = KemService::spawn(&config);
 
     // Individual typed submissions…

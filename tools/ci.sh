@@ -6,9 +6,9 @@
 #                             # + fault/engine/timing gates + benches
 #   tools/ci.sh timing_gate   # one named stage (plus its dependencies)
 #
-# Stage names: lint build test fuzz swar_gate fault_gate
-# ct_engine_gate timing_gate soc_gate service sched_gate trace
-# obs_gate bench_reports bench
+# Stage names: lint build test fuzz fault_gate ct_engine_gate
+# timing_gate soc_gate service sched_gate trace obs_gate
+# bench_reports bench
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,15 +40,6 @@ if want fuzz; then
     SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test differential_fuzz
 fi
 
-# SWAR backend gate: the packed HS-II software mirror must stay
-# bit-exact against the schoolbook oracle over the same 2,048-case
-# release budget, and its seeded mutant (dropped middle-carry repair)
-# must be detected by the fuzzer within a 64-case budget.
-if want swar_gate; then
-    echo "==> swar gate: bit-exactness + mutant detection (release)"
-    SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test swar_gate
-fi
-
 # Fault-injection sensitivity gate: every seeded mutant of the
 # cycle-accurate datapaths must be flagged by the fuzzer — 100 %
 # detection or the corpus has a blind spot.
@@ -57,7 +48,7 @@ if want fault_gate; then
     cargo test -q --release -p saber-verify --test fault_sensitivity
 fi
 
-# Constant-time engine gate: the default engine (SABER_ENGINE=ct) must
+# Constant-time engine gate: the hot-path engine (ct) must
 # stay bit-exact over the full release budget, and the planted *timing*
 # mutants must be functionally invisible to the differential fuzzer
 # (they leak time, not values — that separation is what makes them
@@ -110,27 +101,8 @@ if want service; then
         SABER_SERVICE_WORKERS=$w cargo test -q --release -p saber-service --test concurrency_equivalence
     done
 
-    # Engine matrix: the same equivalence battery with each selectable
-    # multiplier engine driving the worker shards
-    # (ServiceConfig::default reads SABER_ENGINE), so every hot-path
-    # backend is exercised under real worker concurrency, not just
-    # single-threaded fuzzing.
-    echo "==> service stress: engine matrix cached/swar/ct (release)"
-    for e in cached swar ct; do
-        echo "    SABER_ENGINE=$e"
-        SABER_ENGINE=$e cargo test -q --release -p saber-service --test concurrency_equivalence
-    done
-
-    # Soak the default engine at full depth, then every selectable
-    # engine at a reduced budget (the soak is oracle-spot-checked, so
-    # even the short runs would catch an engine corrupting state across
-    # jobs).
     echo "==> service soak: SABER_SOAK_OPS=10000 (release)"
     SABER_SOAK_OPS=10000 cargo test -q --release -p saber-service --test soak
-    for e in cached swar ct; do
-        echo "    SABER_ENGINE=$e SABER_SOAK_OPS=2000"
-        SABER_ENGINE=$e SABER_SOAK_OPS=2000 cargo test -q --release -p saber-service --test soak
-    done
 fi
 
 # Scheduler gate: the work-stealing dispatcher's stress battery —
