@@ -23,9 +23,8 @@
 //!
 //! The bench then runs an **open-loop overload soak**: Poisson and
 //! bursty heavy-tail arrival traces offered at ≥2× the 4-worker pool's
-//! measured closed-loop capacity, under both the reject and degrade
-//! overload policies, recording goodput, shed counts, and p50/p99
-//! queue wait into the report's `soak` section.
+//! measured closed-loop capacity, recording goodput, shed counts, and
+//! p50/p99 queue wait into the report's `soak` section.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,7 +37,7 @@ use saber_service::loadgen::{
     build_plan, run_open_loop, run_sequential, run_service, ArrivalProcess, LoadPlan,
     LoadProfile, OpMix,
 };
-use saber_service::{KemService, OverloadPolicy, ServiceConfig};
+use saber_service::{KemService, ServiceConfig};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Jobs per closed-loop measurement burst.
@@ -183,29 +182,23 @@ fn bench_soak(report: &mut ServiceBenchReport) {
         ArrivalProcess::Poisson { mean_gap_ns },
         ArrivalProcess::Bursty { mean_gap_ns },
     ] {
-        for policy in [OverloadPolicy::Reject, OverloadPolicy::Degrade] {
-            let service = KemService::spawn(&ServiceConfig {
-                workers: SOAK_WORKERS,
-                queue_capacity: 32,
-                overload: policy,
-                ..ServiceConfig::default()
-            });
-            let outcome = run_open_loop(&plan, &service, process, 0x50AC_5EED)
-                .expect("soak run");
-            drop(service);
-            report.soak.push(SoakBenchEntry {
-                trace: process.label().into(),
-                policy: policy.label().into(),
-                workers: SOAK_WORKERS as u64,
-                overload_x: OVERLOAD_X,
-                offered_per_sec: outcome.offered_per_sec(),
-                goodput_per_sec: outcome.goodput_per_sec(),
-                shed: outcome.shed,
-                degraded_admissions: outcome.degraded_admissions,
-                p50_wait_ns: outcome.p50_wait_ns,
-                p99_wait_ns: outcome.p99_wait_ns,
-            });
-        }
+        let service = KemService::spawn(&ServiceConfig {
+            workers: SOAK_WORKERS,
+            queue_capacity: 32,
+            ..ServiceConfig::default()
+        });
+        let outcome = run_open_loop(&plan, &service, process, 0x50AC_5EED).expect("soak run");
+        drop(service);
+        report.soak.push(SoakBenchEntry {
+            trace: process.label().into(),
+            workers: SOAK_WORKERS as u64,
+            overload_x: OVERLOAD_X,
+            offered_per_sec: outcome.offered_per_sec(),
+            goodput_per_sec: outcome.goodput_per_sec(),
+            shed: outcome.shed,
+            p50_wait_ns: outcome.p50_wait_ns,
+            p99_wait_ns: outcome.p99_wait_ns,
+        });
     }
 }
 

@@ -308,19 +308,16 @@ impl ServiceBenchReport {
             .iter()
             .map(|s| {
                 format!(
-                    "    {{\"trace\": \"{}\", \"policy\": \"{}\", \"workers\": {}, \
+                    "    {{\"trace\": \"{}\", \"workers\": {}, \
                      \"overload_x\": {:.2}, \"offered_per_sec\": {:.2}, \
                      \"goodput_per_sec\": {:.2}, \"shed\": {}, \
-                     \"degraded_admissions\": {}, \"p50_wait_ns\": {}, \
-                     \"p99_wait_ns\": {}}}",
+                     \"p50_wait_ns\": {}, \"p99_wait_ns\": {}}}",
                     s.trace,
-                    s.policy,
                     s.workers,
                     s.overload_x,
                     s.offered_per_sec,
                     s.goodput_per_sec,
                     s.shed,
-                    s.degraded_admissions,
                     s.p50_wait_ns,
                     s.p99_wait_ns
                 )
@@ -358,22 +355,20 @@ impl ServiceBenchReport {
         }
         if !self.soak.is_empty() {
             out.push_str(&format!(
-                "\nsoak (open-loop overload)\n{:<8} {:<8} {:>7} {:>6} {:>12} {:>12} {:>6} {:>9} {:>12} {:>12}\n",
-                "trace", "policy", "workers", "over", "offered/s", "goodput/s", "shed",
-                "degraded", "p50 wait ns", "p99 wait ns"
+                "\nsoak (open-loop overload)\n{:<8} {:>7} {:>6} {:>12} {:>12} {:>6} {:>12} {:>12}\n",
+                "trace", "workers", "over", "offered/s", "goodput/s", "shed", "p50 wait ns",
+                "p99 wait ns"
             ));
-            out.push_str(&format!("{}\n", "-".repeat(100)));
+            out.push_str(&format!("{}\n", "-".repeat(81)));
             for s in &self.soak {
                 out.push_str(&format!(
-                    "{:<8} {:<8} {:>7} {:>5.1}x {:>12.1} {:>12.1} {:>6} {:>9} {:>12} {:>12}\n",
+                    "{:<8} {:>7} {:>5.1}x {:>12.1} {:>12.1} {:>6} {:>12} {:>12}\n",
                     s.trace,
-                    s.policy,
                     s.workers,
                     s.overload_x,
                     s.offered_per_sec,
                     s.goodput_per_sec,
                     s.shed,
-                    s.degraded_admissions,
                     s.p50_wait_ns,
                     s.p99_wait_ns
                 ));
@@ -384,15 +379,13 @@ impl ServiceBenchReport {
 }
 
 /// One open-loop overload soak result: a seeded arrival trace offered
-/// at a multiple of the pool's measured capacity, under one overload
-/// policy — the honest "what does saturation cost" measurement the
-/// closed-loop scaling entries cannot make.
+/// at a multiple of the pool's measured capacity — the honest "what
+/// does saturation cost" measurement the closed-loop scaling entries
+/// cannot make.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakBenchEntry {
     /// Arrival process label (`poisson` / `bursty`).
     pub trace: String,
-    /// Overload policy label (`reject` / `degrade`).
-    pub policy: String,
     /// Worker threads in the pool under soak.
     pub workers: u64,
     /// Offered load as a multiple of measured closed-loop capacity
@@ -404,8 +397,6 @@ pub struct SoakBenchEntry {
     pub goodput_per_sec: f64,
     /// Jobs shed at submit time.
     pub shed: u64,
-    /// Jobs admitted above the soft capacity (degrade policy only).
-    pub degraded_admissions: u64,
     /// Median queue wait, nanoseconds.
     pub p50_wait_ns: u64,
     /// 99th-percentile queue wait, nanoseconds.
@@ -795,20 +786,17 @@ mod tests {
         let mut r = sample_service_report();
         r.soak.push(SoakBenchEntry {
             trace: "poisson".into(),
-            policy: "reject".into(),
             workers: 4,
             overload_x: 2.0,
             offered_per_sec: 1000.0,
             goodput_per_sec: 480.5,
             shed: 519,
-            degraded_admissions: 0,
             p50_wait_ns: 4_096_000,
             p99_wait_ns: 16_384_000,
         });
         let json = r.to_json();
         assert!(json.contains("\"soak\": ["), "{json}");
         assert!(json.contains("\"trace\": \"poisson\""));
-        assert!(json.contains("\"policy\": \"reject\""));
         assert!(json.contains("\"overload_x\": 2.00"));
         assert!(json.contains("\"goodput_per_sec\": 480.50"));
         assert!(json.contains("\"p99_wait_ns\": 16384000"));

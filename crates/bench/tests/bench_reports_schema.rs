@@ -201,37 +201,32 @@ fn service_report_bases_are_honest() {
 }
 
 /// The soak section must cover both arrival traces at ≥2× overload with
-/// well-formed goodput/wait fields.
+/// well-formed goodput/wait fields: one row per trace, and no overload
+/// policy dimension (the service always rejects at capacity).
 #[test]
 fn service_report_soak_section_covers_both_traces_under_overload() {
     let doc = load("BENCH_service.json");
     let soak = doc.get("soak").and_then(Value::as_array).expect("soak array");
-    assert!(!soak.is_empty(), "soak section must be non-empty");
-    for (trace, policy) in [
-        ("poisson", "reject"),
-        ("poisson", "degrade"),
-        ("bursty", "reject"),
-        ("bursty", "degrade"),
-    ] {
+    assert_eq!(soak.len(), 2, "soak section holds one row per trace");
+    for trace in ["poisson", "bursty"] {
         let entry = soak
             .iter()
-            .find(|e| {
-                e.str_field("trace").ok() == Some(trace)
-                    && e.str_field("policy").ok() == Some(policy)
-            })
-            .unwrap_or_else(|| panic!("soak missing {trace}/{policy}"));
-        let ctx = format!("soak {trace}/{policy}");
+            .find(|e| e.str_field("trace").ok() == Some(trace))
+            .unwrap_or_else(|| panic!("soak missing {trace}"));
+        let ctx = format!("soak {trace}");
         for (name, kind) in [
             ("workers", Kind::Int),
             ("overload_x", Kind::Num),
             ("offered_per_sec", Kind::Num),
             ("goodput_per_sec", Kind::Num),
             ("shed", Kind::Int),
-            ("degraded_admissions", Kind::Int),
             ("p50_wait_ns", Kind::Int),
             ("p99_wait_ns", Kind::Int),
         ] {
             check_field(entry, name, kind, &ctx);
+        }
+        for retired in ["policy", "degraded_admissions"] {
+            assert!(entry.get(retired).is_none(), "{ctx}: retired field {retired:?}");
         }
         let overload = entry.get("overload_x").and_then(Value::as_number).unwrap();
         assert!(overload >= 2.0, "{ctx}: overload_x {overload} below the 2x floor");

@@ -50,17 +50,15 @@ pub mod platform;
 pub mod power;
 pub mod report;
 pub mod sampler;
-pub mod trace;
 pub mod wires;
 
 pub use area::Area;
 pub use bram::Bram;
-pub use clock::{Clocked, Simulation};
+pub use clock::Clocked;
 pub use dsp::Dsp48;
 pub use keccak_core::KeccakCore;
 pub use platform::{CriticalPath, Fpga};
 pub use power::{Activity, PowerModel, PowerReport};
 pub use report::CycleReport;
 pub use sampler::SamplerCore;
-pub use trace::Tracer;
 pub use wires::UBits;

@@ -8,20 +8,16 @@
 //! ASIC design-space work replicates compute units: a fixed pool of
 //! worker threads, each owning its **own multiplier shard** (no lock,
 //! no sharing on the hot path), fed by **per-worker bounded deques with
-//! seeded work stealing** (or the original single MPMC queue via
-//! `SABER_SCHED=single`) whose backpressure policy is reject-with-error
-//! — a saturated service degrades into explicit
+//! seeded work stealing** whose backpressure policy is
+//! reject-with-error — a saturated service degrades into explicit
 //! [`SubmitError::QueueFull`] responses, never into unbounded buffering
-//! or blocked submitters (the `degrade` overload policy admits a
-//! metered burst past the soft capacity before rejecting).
+//! or blocked submitters.
 //!
 //! Everything is `std`-only (`std::thread` + `std::sync`) and fully
 //! offline, like the rest of the workspace.
 //!
-//! * [`queue`] — the single bounded MPMC queue (backpressure +
-//!   draining close) — the `SABER_SCHED=single` baseline;
-//! * [`steal`] — per-worker bounded deques with seeded work stealing,
-//!   the default dispatch;
+//! * [`steal`] — per-worker bounded deques with seeded work stealing
+//!   (backpressure + draining close), the service's dispatcher;
 //! * [`service`] — the [`KemService`] pool: typed job handles, panic
 //!   containment, graceful shutdown;
 //! * [`metrics`] — atomic counters, fixed-bucket latency histograms,
@@ -58,7 +54,6 @@
 pub mod loadgen;
 pub mod metrics;
 pub mod obs;
-pub mod queue;
 pub mod service;
 pub mod snapshot;
 pub mod steal;
@@ -69,8 +64,7 @@ pub use loadgen::{
 };
 pub use metrics::{OpKind, ServiceReport};
 pub use service::{
-    Gate, JobError, JobHandle, KemService, OverloadPolicy, SchedulerKind, ServiceConfig,
-    SubmitError,
+    Gate, JobError, JobHandle, KemService, SchedulerKind, ServiceConfig, SubmitError,
 };
 pub use steal::{StealTally, WorkStealQueue};
 pub use snapshot::{

@@ -538,12 +538,10 @@ pub struct SoakOutcome {
     pub admitted: u64,
     /// Admitted jobs that completed successfully.
     pub completed: u64,
-    /// Jobs shed at submit time (queue full / hard cap).
+    /// Jobs shed at submit time (queue full).
     pub shed: u64,
     /// Admitted jobs that failed (worker panic).
     pub failed: u64,
-    /// Jobs admitted above the soft capacity under the degrade policy.
-    pub degraded_admissions: u64,
     /// Wall-clock duration of the soak (first submit → last drain).
     pub duration_ns: u64,
     /// Median queue wait across all admitted jobs, nanoseconds.
@@ -654,7 +652,6 @@ pub fn run_open_loop(
         completed,
         shed,
         failed,
-        degraded_admissions: report.degraded_admissions,
         duration_ns,
         p50_wait_ns: wait.quantile_ns(0.5),
         p99_wait_ns: wait.quantile_ns(0.99),

@@ -217,7 +217,6 @@ pub struct Metrics {
     steal_attempts: AtomicU64,
     steal_hits: AtomicU64,
     stolen_jobs: AtomicU64,
-    degraded: AtomicU64,
     ops: [LatencyHistogram; 4],
     queue_wait: [LatencyHistogram; 4],
     execute: [LatencyHistogram; 4],
@@ -238,12 +237,6 @@ impl Metrics {
     /// A submission was rejected by backpressure.
     pub fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A submission was admitted above the soft capacity under the
-    /// degrade overload policy.
-    pub fn record_degraded(&self) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A worker ran `n` victim scans while looking for work to steal
@@ -323,7 +316,6 @@ impl Metrics {
             steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
             steal_hits: self.steal_hits.load(Ordering::Relaxed),
             stolen_jobs: self.stolen_jobs.load(Ordering::Relaxed),
-            degraded_admissions: self.degraded.load(Ordering::Relaxed),
             ops: OpKind::ALL
                 .into_iter()
                 .map(|op| (op, self.ops[op.index()].snapshot()))
@@ -364,16 +356,12 @@ pub struct ServiceReport {
     /// Highest queue depth observed at submit time.
     pub queue_high_water: u64,
     /// Victim scans run by workers looking for stealable work (only
-    /// counted while the queue was non-empty). Zero under the
-    /// single-queue scheduler.
+    /// counted while the queue was non-empty).
     pub steal_attempts: u64,
     /// Successful steals (victim scans that migrated at least one job).
     pub steal_hits: u64,
     /// Jobs migrated between worker deques by stealing.
     pub stolen_jobs: u64,
-    /// Jobs admitted above the soft capacity under the degrade
-    /// overload policy. Zero under the reject policy.
-    pub degraded_admissions: u64,
     /// Engine label each worker shard was built from (sorted; one entry
     /// per worker startup).
     pub engines: Vec<String>,
@@ -454,7 +442,6 @@ impl ServiceReport {
             ("steal_attempts".into(), int(self.steal_attempts)),
             ("steal_hits".into(), int(self.steal_hits)),
             ("stolen_jobs".into(), int(self.stolen_jobs)),
-            ("degraded_admissions".into(), int(self.degraded_admissions)),
             (
                 "engines".into(),
                 Value::Array(
@@ -580,7 +567,6 @@ impl ServiceReport {
             steal_attempts: int("steal_attempts")?,
             steal_hits: int("steal_hits")?,
             stolen_jobs: int("stolen_jobs")?,
-            degraded_admissions: int("degraded_admissions")?,
             engines,
             ops,
             queue_wait,
@@ -619,9 +605,6 @@ impl ServiceReport {
                 " steals[attempts={} hits={} moved={}]",
                 self.steal_attempts, self.steal_hits, self.stolen_jobs
             ));
-        }
-        if self.degraded_admissions > 0 {
-            line.push_str(&format!(" degraded={}", self.degraded_admissions));
         }
         for (op, h) in &self.ops {
             if h.count > 0 {
@@ -776,22 +759,19 @@ mod tests {
     }
 
     #[test]
-    fn steal_and_degraded_counters_survive_json_and_summary() {
+    fn steal_counters_survive_json_and_summary() {
         let m = Metrics::default();
         m.record_steal_attempts(5);
         m.record_steal_hit(3);
         m.record_steal_hit(1);
-        m.record_degraded();
         let r = m.snapshot(2, 8, 0);
         assert_eq!(r.steal_attempts, 5);
         assert_eq!(r.steal_hits, 2);
         assert_eq!(r.stolen_jobs, 4);
-        assert_eq!(r.degraded_admissions, 1);
         let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back, r);
         let summary = r.format_summary();
         assert!(summary.contains("steals[attempts=5 hits=2 moved=4]"), "{summary}");
-        assert!(summary.contains("degraded=1"), "{summary}");
     }
 
     #[test]

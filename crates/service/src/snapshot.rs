@@ -21,12 +21,14 @@
 //! decimal bounds + `"+Inf"`), and the exposition uses **cumulative**
 //! bucket counts as the `le` semantics require.
 //!
-//! Versioning: `SCHEMA_VERSION` is 3 (version 2 added the service
-//! report's steal/degraded counters; version 3 removed the `autotune`
-//! section along with the engine auto-tuner). Parsers reject documents
-//! with a different version rather than guessing — additive fields bump
-//! the version, and a reader for version N refuses N+1 documents instead
-//! of silently dropping sections.
+//! Versioning: `SCHEMA_VERSION` is 4 (version 2 added the service
+//! report's steal counters; version 3 removed the `autotune` section
+//! along with the engine auto-tuner; version 4 removed the service
+//! report's degraded-admission counter along with the degrade overload
+//! policy). Parsers reject documents with a different version rather
+//! than guessing — additive fields bump the version, and a reader for
+//! version N refuses N+1 documents instead of silently dropping
+//! sections.
 
 use saber_testkit::json::Value;
 
@@ -34,7 +36,7 @@ use crate::metrics::{bucket_edge_label, ServiceReport, BUCKET_COUNT};
 use crate::obs;
 
 /// Version of the snapshot document schema.
-pub const SCHEMA_VERSION: i64 = 3;
+pub const SCHEMA_VERSION: i64 = 4;
 
 /// Flight-recorder status at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -387,12 +389,6 @@ impl MetricsSnapshot {
             "saber_stolen_jobs_total",
             "Jobs migrated between worker deques by stealing.",
             s.stolen_jobs,
-        );
-        counter(
-            &mut out,
-            "saber_degraded_admissions_total",
-            "Jobs admitted above the soft capacity under the degrade policy.",
-            s.degraded_admissions,
         );
 
         if !s.engines.is_empty() {
@@ -800,11 +796,11 @@ mod tests {
     fn unknown_schema_version_is_refused() {
         let snap = sample_snapshot();
         let text = snap.to_json_string().replace(
-            "\"schema_version\": 3",
             "\"schema_version\": 4",
+            "\"schema_version\": 5",
         );
         let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
-        assert!(err.contains("unsupported snapshot schema version 4"), "{err}");
+        assert!(err.contains("unsupported snapshot schema version 5"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Per-worker bounded deques with randomized-seeded work stealing —
-//! the dispatch structure that replaced the single MPMC
-//! [`BoundedQueue`](crate::queue::BoundedQueue) in front of the pool.
+//! the service's one dispatch structure.
 //!
 //! ## Layout
 //!
@@ -16,11 +15,11 @@
 //! ```
 //!
 //! One deque per worker, all jointly bounded by a single global
-//! capacity (an atomic admission counter), so the backpressure contract
-//! is *identical* to the single queue: `try_push` admits exactly
+//! capacity (an atomic admission counter): `try_push` admits exactly
 //! `capacity` outstanding jobs and then rejects with
 //! [`PushError::Full`], regardless of how the jobs are distributed over
-//! shards.
+//! shards. Submitters never block: a traffic burst degrades into
+//! explicit errors, not unbounded memory growth or submitter stalls.
 //!
 //! ## Steal policy
 //!
@@ -31,8 +30,8 @@
 //!   first. LIFO is what breaks the convoy: a large batch job parked in
 //!   a shard does not force every small job queued behind it to wait
 //!   out the batch, because fresh small jobs overtake it (the
-//!   `sched_stress` convoy regression pins this against the FIFO
-//!   single-queue baseline).
+//!   `sched_stress` convoy test pins this: every small job behind a
+//!   held deep job resolves first).
 //! * **Thieves** scan the other shards in a freshly drawn seeded
 //!   Fisher–Yates permutation and take the **older half from the back**
 //!   of the first non-empty victim: one job to execute now, the rest
@@ -56,8 +55,8 @@
 //! notifying, so a worker that observed "empty" under the mutex is
 //! guaranteed to be inside `wait` before the notification fires —
 //! no lost wakeups. [`WorkStealQueue::close`] uses `notify_all` so
-//! every blocked worker drains out (the same contract the
-//! `BoundedQueue` regression test with ≥ 4 blocked poppers pins).
+//! every blocked worker drains out (the regression test with ≥ 4
+//! blocked poppers pins this).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -65,7 +64,16 @@ use std::sync::{Condvar, Mutex};
 
 use saber_testkit::Rng;
 
-use crate::queue::PushError;
+/// Why a push was refused; carries the rejected item back to the caller.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PushError<T> {
+    /// The queue is at capacity: backpressure. The submitter decides
+    /// whether to retry, shed the job, or surface the rejection.
+    Full(T),
+    /// The queue was closed (service shutting down); no new work is
+    /// admitted.
+    Closed(T),
+}
 
 /// What one [`WorkStealQueue::pop`] did to find its job — the worker
 /// loop folds this into the steal metrics and trace counters.
@@ -184,8 +192,7 @@ impl<T> WorkStealQueue<T> {
         else {
             return Err(PushError::Full(item));
         };
-        // Close raced the reservation: give the slot back and refuse,
-        // exactly as the single queue's push-under-lock would have.
+        // Close raced the reservation: give the slot back and refuse.
         if self.closed.load(Ordering::SeqCst) {
             self.len.fetch_sub(1, Ordering::SeqCst);
             return Err(PushError::Closed(item));
@@ -393,9 +400,9 @@ mod tests {
 
     #[test]
     fn close_wakes_at_least_four_blocked_poppers() {
-        // The ≥4-blocked-poppers shutdown regression, mirrored from the
-        // BoundedQueue: every parked worker must observe the close (the
-        // notify_all contract), not wake one-at-a-time or never.
+        // The ≥4-blocked-poppers shutdown regression: every parked
+        // worker must observe the close (the notify_all contract), not
+        // wake one-at-a-time or never.
         let q = Arc::new(WorkStealQueue::<u8>::new(4, 6));
         let handles: Vec<_> = (0..6)
             .map(|w| {

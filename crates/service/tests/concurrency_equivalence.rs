@@ -9,7 +9,8 @@
 //!
 //! `SABER_SERVICE_WORKERS=<n>` narrows the matrix to one worker count —
 //! `tools/ci.sh` uses this to run the 1/2/8 matrix as separate release
-//! stages.
+//! stages. `SABER_STEAL_SEED=<u64>` replaces the default steal seed —
+//! `tools/ci.sh sched_gate` sweeps it to stress different steal orders.
 
 use std::sync::Arc;
 
@@ -25,6 +26,21 @@ fn worker_matrix() -> Vec<usize> {
     match std::env::var("SABER_SERVICE_WORKERS") {
         Ok(v) => vec![v.parse().expect("SABER_SERVICE_WORKERS must be a worker count")],
         Err(_) => vec![1, 2, 8],
+    }
+}
+
+/// A pool of `workers` over a `queue_capacity`-deep queue, with the
+/// steal seed from `SABER_STEAL_SEED` when set.
+fn config(workers: usize, queue_capacity: usize) -> ServiceConfig {
+    let steal_seed = match std::env::var("SABER_STEAL_SEED") {
+        Ok(v) => v.parse().expect("SABER_STEAL_SEED must be a u64"),
+        Err(_) => ServiceConfig::default().steal_seed,
+    };
+    ServiceConfig {
+        workers,
+        queue_capacity,
+        steal_seed,
+        ..ServiceConfig::default()
     }
 }
 
@@ -47,11 +63,7 @@ fn mixed_kem_load_matches_sequential_for_all_sets_and_worker_counts() {
         let reference = run_sequential(&plan, &mut SchoolbookMultiplier);
 
         for workers in worker_matrix() {
-            let service = KemService::spawn(&ServiceConfig {
-                workers,
-                queue_capacity: 16,
-                ..ServiceConfig::default()
-            });
+            let service = KemService::spawn(&config(workers, 16));
             let got = run_service(&plan, &service, 12).expect("load run");
             let report = service.shutdown();
             assert_eq!(
@@ -82,11 +94,7 @@ fn matvec_only_load_matches_sequential() {
         let reference = run_sequential(&plan, &mut SchoolbookMultiplier);
 
         for workers in worker_matrix() {
-            let service = KemService::spawn(&ServiceConfig {
-                workers,
-                queue_capacity: 8,
-                ..ServiceConfig::default()
-            });
+            let service = KemService::spawn(&config(workers, 8));
             let got = run_service(&plan, &service, 8).expect("load run");
             drop(service);
             assert_eq!(
@@ -109,11 +117,7 @@ fn typed_submissions_match_direct_calls() {
     let ss_dec = saber_kem::decaps(&sk, &ct, &mut backend);
 
     for workers in worker_matrix() {
-        let service = KemService::spawn(&ServiceConfig {
-            workers,
-            queue_capacity: 8,
-            ..ServiceConfig::default()
-        });
+        let service = KemService::spawn(&config(workers, 8));
         let (pk2, sk2) = service
             .submit_keygen(params, [5; 32])
             .unwrap()
@@ -145,11 +149,7 @@ fn matvec_handles_resolve_to_backend_products() {
     let expected = matrix.mul_vec(&secret, &mut SchoolbookMultiplier);
 
     for workers in worker_matrix() {
-        let service = KemService::spawn(&ServiceConfig {
-            workers,
-            queue_capacity: 8,
-            ..ServiceConfig::default()
-        });
+        let service = KemService::spawn(&config(workers, 8));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 service

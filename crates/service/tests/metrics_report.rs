@@ -1,7 +1,6 @@
 //! Metrics battery: histogram bucket boundaries, counter monotonicity
 //! under live traffic, and `ServiceReport` JSON round-trips through the
-//! in-tree codec (promoted from `crates/verify/src/json.rs` into
-//! `saber-testkit`, still re-exported by `saber_verify::json`).
+//! in-tree `saber_testkit::json` codec.
 
 use std::sync::Arc;
 
@@ -116,19 +115,10 @@ fn service_report_roundtrips_through_json() {
     let report = service.shutdown();
     assert_eq!(report.completed, 3);
 
-    // String round-trip through the promoted saber-testkit codec.
+    // String round-trip through the saber-testkit codec.
     let text = report.to_json_string();
     let back = ServiceReport::from_json_str(&text).expect("parse own output");
     assert_eq!(back, report);
-
-    // The saber_verify::json re-export is the *same* codec: parsing the
-    // report through it must reconstruct the identical document.
-    let via_verify = saber_verify::json::parse(&text).expect("shim parses");
-    assert_eq!(via_verify, report.to_json_value());
-    assert_eq!(
-        ServiceReport::from_json_value(&via_verify).expect("decode"),
-        report
-    );
 
     // Every worker recorded the engine its shard was built from, and
     // the labels survive JSON.

@@ -112,11 +112,10 @@ pub trait Component {
 /// Keccak core) onto the [`Component`] trait for a fixed number of
 /// edges.
 ///
-/// This is the bridge that retires `saber_hw::clock::Simulation` as the
-/// only way to drive raw primitives: the same borrowed-component style
-/// (`&mut dyn Clocked`), but under the event-heap scheduler, where the
-/// primitive can share a run with full datapath models and divided
-/// clocks.
+/// This is the workspace's one harness for driving raw primitives:
+/// borrowed components (`&mut dyn Clocked`) under the event-heap
+/// scheduler, where a primitive can share a run with full datapath
+/// models and divided clocks.
 ///
 /// # Examples
 ///

@@ -1,7 +1,7 @@
 //! `ClockedComponent`: raw `saber_hw::Clocked` primitives under the
-//! discrete-event scheduler — the successor to the lock-step
-//! `saber_hw::clock::Simulation` harness — plus the shared
-//! `saber_trace::clock::Clock` wall-time path driven by a `FakeClock`.
+//! discrete-event scheduler — the workspace's one harness for driving
+//! them — plus the shared `saber_trace::clock::Clock` wall-time path
+//! driven by a `FakeClock`.
 
 use saber_hw::keccak_core::{KeccakCore, PERMUTATION_CYCLES};
 use saber_hw::{Bram, Dsp48};

@@ -11,7 +11,8 @@
 //! that the frozen answers were wrong (or the byte framing intentionally
 //! changed) — review such diffs accordingly.
 
-use saber_verify::{json, kat};
+use saber_testkit::json;
+use saber_verify::kat;
 
 fn main() -> std::io::Result<()> {
     let dir = kat::kats_dir();

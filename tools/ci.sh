@@ -107,13 +107,12 @@ fi
 
 # Scheduler gate: the work-stealing dispatcher's stress battery —
 # seeded steal-order stress (the soc fuzzer's seeded-shuffle pattern
-# applied to victim selection), forced-steal counter checks, the convoy
-# regression, a shutdown-under-load drain check, and the degrade-policy
-# admission contract. Then the steal-seed sweep: the equivalence battery
-# must be transcript-identical under several steal seeds *and* under the
-# single-queue baseline scheduler, and the committed BENCH_service.json
-# must satisfy the measurement-honesty schema (per-entry
-# host_parallelism, legal basis values, soak section).
+# applied to victim selection), forced-steal counter checks, the
+# structural convoy test, and a shutdown-under-load drain check. Then
+# the steal-seed sweep: the equivalence battery must be
+# transcript-identical under several steal seeds, and the committed
+# BENCH_service.json must satisfy the measurement-honesty schema
+# (per-entry host_parallelism, legal basis values, soak section).
 if want sched_gate; then
     echo "==> sched gate: steal stress battery (release)"
     cargo test -q --release -p saber-service --test sched_stress
@@ -123,8 +122,6 @@ if want sched_gate; then
         echo "    SABER_STEAL_SEED=$s"
         SABER_STEAL_SEED=$s cargo test -q --release -p saber-service --test concurrency_equivalence
     done
-    echo "    SABER_SCHED=single"
-    SABER_SCHED=single cargo test -q --release -p saber-service --test concurrency_equivalence
 
     echo "==> sched gate: BENCH_service.json measurement-honesty schema"
     cargo test -q -p saber-bench --test bench_reports_schema
