@@ -14,22 +14,12 @@
 //! records the cost of the instrumentation that produced it.
 
 use saber_bench::microbench::{disabled_probe_ns, enabled_span_ns};
-use saber_bench::tables::{measured_occupancy, TraceBenchReport};
+use saber_bench::tables::{host_parallelism, trace_report};
 
 fn main() {
     println!("\n=== Cycle-model occupancy (timeline evidence) ===\n");
 
-    let report = TraceBenchReport {
-        entries: measured_occupancy(),
-        disabled_probe_ns: disabled_probe_ns(),
-        enabled_probe_ns: enabled_span_ns(),
-    };
+    let report = trace_report(host_parallelism(), disabled_probe_ns(), enabled_span_ns());
     println!("{}", report.format_text());
-
-    let json = report.to_json();
-    let path = "BENCH_trace.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    report.write("BENCH_trace.json");
 }

@@ -19,7 +19,8 @@
 //! core-starved (the same modeling convention as the
 //! `coprocessor_projection` bench), and `degraded` when the host
 //! nominally had the cores but measured >2× the projection. Both
-//! numbers are always recorded in `BENCH_service.json`.
+//! numbers are always recorded in `BENCH_service.json`; speedups over
+//! 1 worker are derived from those rows (printed, not stored).
 //!
 //! The bench then runs an **open-loop overload soak**: Poisson and
 //! bursty heavy-tail arrival traces offered at ≥2× the 4-worker pool's
@@ -29,7 +30,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use saber_bench::tables::{ServiceBenchReport, SoakBenchEntry};
+use saber_bench::tables::{host_parallelism, ServiceBenchReport, SoakBenchEntry};
 use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::{ALL_PARAMS, SABER};
 use saber_ring::EngineKind;
@@ -45,10 +46,6 @@ const MATVEC_JOBS: usize = 64;
 /// Ops in the mixed-KEM plan.
 const KEM_OPS: usize = 48;
 
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Mean ns/op of `f` over `reps` runs of `jobs` operations each,
 /// after one warmup run.
 fn measure_per_op(jobs: usize, reps: usize, mut f: impl FnMut()) -> f64 {
@@ -60,95 +57,71 @@ fn measure_per_op(jobs: usize, reps: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / (reps * jobs) as f64
 }
 
+/// Times `work` on one thread — the roofline: the workers' engine, no
+/// service — then `job_burst` through pools of every size in
+/// [`WORKER_COUNTS`], recording each pool against the roofline. Both
+/// closures run `jobs` operations per call.
+fn bench_scaling(
+    report: &mut ServiceBenchReport,
+    (params, op): (&str, &str),
+    (jobs, reps): (usize, usize),
+    work: impl FnMut(),
+    job_burst: impl Fn(&KemService),
+) {
+    let work_ns = measure_per_op(jobs, reps, work);
+    let mut overhead_ns = 0.0;
+    for &workers in &WORKER_COUNTS {
+        let service = KemService::spawn(&ServiceConfig {
+            workers,
+            queue_capacity: jobs,
+            ..ServiceConfig::default()
+        });
+        let measured_ns = measure_per_op(jobs, reps, || job_burst(&service));
+        drop(service);
+        if workers == 1 {
+            // Calibrate dispatch overhead from the 1-worker pool: it
+            // runs the same single-thread work plus queue+slot costs.
+            overhead_ns = (measured_ns - work_ns).max(0.0);
+        }
+        let projected_ns = work_ns / workers as f64 + overhead_ns;
+        report.push(params, op, workers as u64, host_parallelism(), measured_ns, projected_ns);
+    }
+}
+
 fn bench_matvec(report: &mut ServiceBenchReport) {
     for params in &ALL_PARAMS {
         let matrix = Arc::new(gen_matrix(&[0x5a; 32], params));
         let secret = Arc::new(gen_secret(&[0xa5; 32], params));
-
-        // Work roofline: the workers' engine on one thread, no service.
-        let work_ns = {
-            let mut backend = EngineKind::default().build();
-            measure_per_op(MATVEC_JOBS, 3, || {
-                for _ in 0..MATVEC_JOBS {
-                    let _ = std::hint::black_box(matrix.mul_vec(&secret, backend.as_mut()));
-                }
-            })
-        };
-
-        let mut overhead_ns = 0.0;
-        for &workers in &WORKER_COUNTS {
-            let service = KemService::spawn(&ServiceConfig {
-                workers,
-                queue_capacity: MATVEC_JOBS,
-                ..ServiceConfig::default()
-            });
-            let measured_ns = measure_per_op(MATVEC_JOBS, 3, || {
-                let handles: Vec<_> = (0..MATVEC_JOBS)
-                    .map(|_| {
-                        service
-                            .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
-                            .expect("queue sized for the burst")
-                    })
-                    .collect();
-                for h in handles {
-                    let _ = std::hint::black_box(h.wait().expect("matvec job"));
-                }
-            });
-            drop(service);
-            if workers == 1 {
-                // Calibrate dispatch overhead from the 1-worker pool: it
-                // runs the same single-thread work plus queue+slot costs.
-                overhead_ns = (measured_ns - work_ns).max(0.0);
+        let mut backend = EngineKind::default().build();
+        let work = || {
+            for _ in 0..MATVEC_JOBS {
+                let _ = std::hint::black_box(matrix.mul_vec(&secret, backend.as_mut()));
             }
-            let projected_ns = work_ns / workers as f64 + overhead_ns;
-            report.push(
-                params.name,
-                "matvec",
-                workers as u64,
-                host_parallelism() as u64,
-                measured_ns,
-                projected_ns,
-            );
-        }
+        };
+        bench_scaling(report, (params.name, "matvec"), (MATVEC_JOBS, 3), work, |service| {
+            let handles: Vec<_> = (0..MATVEC_JOBS)
+                .map(|_| {
+                    service
+                        .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
+                        .expect("queue sized for the burst")
+                })
+                .collect();
+            for h in handles {
+                let _ = std::hint::black_box(h.wait().expect("matvec job"));
+            }
+        });
     }
 }
 
 fn bench_kem_mixed(report: &mut ServiceBenchReport) {
     let plan: LoadPlan = build_plan(&LoadProfile::new(&SABER, 0xBE_EF, KEM_OPS));
-
-    let work_ns = {
-        let mut backend = EngineKind::default().build();
-        measure_per_op(KEM_OPS, 2, || {
-            let _ = std::hint::black_box(run_sequential(&plan, backend.as_mut()));
-        })
+    let mut backend = EngineKind::default().build();
+    let work = || {
+        let _ = std::hint::black_box(run_sequential(&plan, backend.as_mut()));
     };
-
-    let mut overhead_ns = 0.0;
-    for &workers in &WORKER_COUNTS {
-        let service = KemService::spawn(&ServiceConfig {
-            workers,
-            queue_capacity: KEM_OPS,
-            ..ServiceConfig::default()
-        });
-        let measured_ns = measure_per_op(KEM_OPS, 2, || {
-            let _ = std::hint::black_box(
-                run_service(&plan, &service, KEM_OPS).expect("load run"),
-            );
-        });
-        drop(service);
-        if workers == 1 {
-            overhead_ns = (measured_ns - work_ns).max(0.0);
-        }
-        let projected_ns = work_ns / workers as f64 + overhead_ns;
-        report.push(
-            SABER.name,
-            "kem_mixed",
-            workers as u64,
-            host_parallelism() as u64,
-            measured_ns,
-            projected_ns,
-        );
-    }
+    bench_scaling(report, (SABER.name, "kem_mixed"), (KEM_OPS, 2), work, |service| {
+        let _ = std::hint::black_box(run_service(&plan, service, KEM_OPS).expect("load run"));
+    });
 }
 
 /// Overload multiple the soak offers relative to measured capacity.
@@ -206,7 +179,7 @@ fn main() {
     println!("\n=== Concurrent KEM service throughput (worker scaling) ===\n");
 
     let mut report = ServiceBenchReport {
-        host_parallelism: host_parallelism() as u64,
+        host_parallelism: host_parallelism(),
         ..ServiceBenchReport::default()
     };
     bench_matvec(&mut report);
@@ -214,16 +187,6 @@ fn main() {
     bench_soak(&mut report);
 
     println!("{}", report.format_text());
-    for params in &ALL_PARAMS {
-        if let Some(s) = report.speedup_vs_single(params.name, "matvec", 4) {
-            println!("matvec 4-worker speedup {:<12} {s:.2}x", params.name);
-        }
-    }
 
-    let json = report.to_json();
-    let path = "BENCH_service.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
+    report.report().write("BENCH_service.json");
 }

@@ -16,7 +16,7 @@
 //! "Constant time" section quotes its numbers.
 
 use saber_bench::microbench::{black_box, Criterion};
-use saber_bench::tables::TimingReport;
+use saber_bench::tables::{host_parallelism, TimingLeakEntry, TimingReport};
 use saber_core::fault::{TimingFault, TimingLeakMultiplier};
 use saber_kem::params::LIGHT_SABER;
 use saber_ring::{EngineKind, PolyQ, SecretPoly};
@@ -33,21 +33,14 @@ fn verdict_label(v: Verdict) -> &'static str {
 }
 
 fn record(report: &mut TimingReport, target: &str, role: &str, run: &LeakReport) {
-    println!(
-        "{target:<28} {role:<18} {:<14} t = {:+8.2}  ({} samples, {} cropped)",
-        verdict_label(run.verdict),
-        run.t_stat,
-        run.samples_collected,
-        run.cropped
-    );
-    report.push(
-        target,
-        role,
-        verdict_label(run.verdict),
-        run.t_stat,
-        run.samples_collected,
-        run.cropped,
-    );
+    report.entries.push(TimingLeakEntry {
+        target: target.into(),
+        role: role.into(),
+        verdict: verdict_label(run.verdict).into(),
+        t_stat: run.t_stat,
+        samples: run.samples_collected as u64,
+        cropped: run.cropped as u64,
+    });
 }
 
 fn main() {
@@ -58,7 +51,10 @@ fn main() {
         cfg.samples, cfg.threshold, cfg.seed
     );
 
-    let mut report = TimingReport::default();
+    let mut report = TimingReport {
+        host_parallelism: host_parallelism(),
+        ..TimingReport::default()
+    };
 
     let engine = EngineKind::default();
     let mut target = MulTarget::engine();
@@ -121,18 +117,13 @@ fn main() {
         report.ct_ns_per_product = m.mean.as_nanos() as f64;
     }
 
-    println!("\n{}", report.format_text());
+    println!("{}", report.format_text());
     assert!(
         report.controls_hold(),
         "timing leakage controls misbehaved — see the table above"
     );
 
-    let json = report.to_json();
-    let path = "BENCH_timing.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    report.report().write("BENCH_timing.json");
 
     criterion.final_summary();
 }

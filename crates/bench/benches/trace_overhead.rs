@@ -2,62 +2,33 @@
 //! ~nothing on the hot paths it instruments.
 //!
 //! The tracing layer's contract is that a probe with no session active
-//! is one relaxed atomic load (plus a branch). This bench measures:
+//! and the flight recorder off is two relaxed atomic loads (plus a
+//! branch). This bench measures:
 //!
-//! * the per-probe cost of a disabled `saber_trace::span` call — the
-//!   number the CI gate thresholds (`SABER_TRACE_MAX_DISABLED_NS`,
-//!   default 25 ns, a deliberately loose bound: the measured cost is
-//!   sub-nanosecond on any host where the load constant-folds);
-//! * the per-span cost with a session live, for scale;
-//! * the same two numbers for the flight recorder.
+//! * the per-probe cost of that disabled `saber_trace::span` call — the
+//!   one number the CI gate thresholds, at [`MAX_DISABLED_NS`];
+//! * the per-span cost with a trace session live, for scale;
+//! * the per-span cost with the flight recorder armed, for scale.
 //!
 //! Exits nonzero when the disabled-probe cost breaches the threshold,
 //! so `tools/ci.sh` can run it as a hard gate.
 
-use saber_bench::microbench::{
-    disabled_probe_ns, enabled_span_ns, flight_armed_span_ns, flight_disabled_probe_ns,
-};
+use saber_bench::microbench::{disabled_probe_ns, enabled_span_ns, flight_armed_span_ns};
+
+/// Ceiling on one disabled probe, nanoseconds (measured ~3–4 ns).
+const MAX_DISABLED_NS: f64 = 10.0;
 
 fn main() {
-    let max_disabled_ns: f64 = std::env::var("SABER_TRACE_MAX_DISABLED_NS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
-
     println!("\n=== Tracing overhead (disabled-path gate) ===\n");
 
-    let max_flight_ns: f64 = std::env::var("SABER_FLIGHT_MAX_DISABLED_NS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
-
     let disabled = disabled_probe_ns();
-    let enabled = enabled_span_ns();
-    println!("disabled probe: {disabled:.3} ns");
-    println!("enabled span:   {enabled:.1} ns");
+    println!("disabled probe:     {disabled:.3} ns");
+    println!("enabled span:       {:.1} ns", enabled_span_ns());
+    println!("flight-armed span:  {:.1} ns", flight_armed_span_ns());
 
-    // The flight recorder's disabled-path price (its ISSUE-budgeted
-    // bound is tighter than the trace gate: sub-10 ns) and its armed
-    // ring-write price, for scale.
-    let flight_disabled = flight_disabled_probe_ns();
-    let flight_armed = flight_armed_span_ns();
-    println!("flight-off probe:   {flight_disabled:.3} ns");
-    println!("flight-armed span:  {flight_armed:.1} ns");
-
-    if disabled > max_disabled_ns {
-        eprintln!(
-            "FAIL: disabled probe costs {disabled:.3} ns > {max_disabled_ns:.1} ns \
-             (SABER_TRACE_MAX_DISABLED_NS)"
-        );
+    if disabled > MAX_DISABLED_NS {
+        eprintln!("FAIL: disabled probe costs {disabled:.3} ns > {MAX_DISABLED_NS:.1} ns");
         std::process::exit(1);
     }
-    if flight_disabled > max_flight_ns {
-        eprintln!(
-            "FAIL: flight-off probe costs {flight_disabled:.3} ns > {max_flight_ns:.1} ns \
-             (SABER_FLIGHT_MAX_DISABLED_NS)"
-        );
-        std::process::exit(1);
-    }
-    println!("\ndisabled-path gate: OK ({disabled:.3} ns <= {max_disabled_ns:.1} ns)");
-    println!("flight-path gate:   OK ({flight_disabled:.3} ns <= {max_flight_ns:.1} ns)");
+    println!("\ndisabled-path gate: OK ({disabled:.3} ns <= {MAX_DISABLED_NS:.1} ns)");
 }

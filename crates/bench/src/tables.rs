@@ -2,12 +2,23 @@
 //! the paper's evaluation reports. The benches print these tables; the
 //! functions are also unit-tested so the numbers in EXPERIMENTS.md are
 //! regenerated, not transcribed.
+//!
+//! The committed `BENCH_*.json` reports share one shape, [`BenchReport`]:
+//! a header (`bench` tag, `host_parallelism`), optional named scalars,
+//! and named sections of rows. Every row is an entry type's ordered
+//! `(column, value)` cells ([`Row`]), so one function serializes every
+//! report through [`saber_testkit::json::write`], one column formatter
+//! prints every text table, and the schema test reads each section's
+//! columns from the same rows. Values derivable from the rows (service
+//! speedups and `ops_per_sec`, the timing `controls_hold` verdict) are
+//! printed, never stored.
 
 use saber_core::{
     BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, HwMultiplier,
     LightweightMultiplier,
 };
 use saber_ring::{PolyMultiplier, PolyQ, SecretPoly};
+use saber_testkit::json::{self, Value};
 
 use crate::literature::{Table1Row, TABLE1_PAPER};
 
@@ -110,10 +121,141 @@ pub fn format_table1() -> String {
     out
 }
 
+/// One report row: `(column, value)` cells in column order.
+pub type Row = Vec<(&'static str, Value)>;
+
+fn int(v: u64) -> Value {
+    Value::Int(i64::try_from(v).expect("report counters fit in i64"))
+}
+
+fn object(cells: &Row) -> Value {
+    let fields = cells.iter().map(|(k, v)| (k.to_string(), v.clone()));
+    Value::Object(fields.collect())
+}
+
+fn rows<T>(entries: &[T], row: fn(&T) -> Row) -> Vec<Row> {
+    entries.iter().map(row).collect()
+}
+
+fn cell_text(v: &Value) -> String {
+    match v {
+        Value::Str(s) => s.clone(),
+        Value::Int(i) => i.to_string(),
+        Value::Float(f) => format!("{f:.2}"),
+        _ => "-".into(),
+    }
+}
+
+/// Formats rows as a text table: one column per cell name, numbers
+/// right-aligned, strings left-aligned, each column as wide as its
+/// widest cell.
+#[must_use]
+pub fn format_table(rows: &[Row]) -> String {
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let header = first.iter().map(|(name, _)| (*name).to_string());
+    let mut table = vec![header.collect::<Vec<_>>()];
+    for row in rows {
+        table.push(row.iter().map(|(_, v)| cell_text(v)).collect());
+    }
+    let mut widths = vec![0; first.len()];
+    for texts in &table {
+        for (w, t) in widths.iter_mut().zip(texts) {
+            *w = (*w).max(t.chars().count());
+        }
+    }
+    let mut out = String::new();
+    for (n, texts) in table.iter().enumerate() {
+        let mut line = String::new();
+        for ((t, &w), (_, v)) in texts.iter().zip(&widths).zip(first) {
+            match v {
+                Value::Str(_) => line.push_str(&format!("{t:<w$}  ")),
+                _ => line.push_str(&format!("{t:>w$}  ")),
+            }
+        }
+        let line = line.trim_end();
+        out.push_str(&format!("{line}\n"));
+        if n == 0 {
+            out.push_str(&format!("{}\n", "-".repeat(line.chars().count())));
+        }
+    }
+    out
+}
+
+/// `std::thread::available_parallelism()` on this host (1 if unknown).
+#[must_use]
+pub fn host_parallelism() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
+/// One `BENCH_*.json` report: a header (`bench` tag and the writing
+/// host's `host_parallelism`), named scalars, and named sections of
+/// [`Row`]s.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchReport {
+    /// The `bench` tag naming the writer.
+    pub bench: &'static str,
+    /// Cores visible to the host that wrote the report.
+    pub host_parallelism: u64,
+    /// Named report-wide measurements.
+    pub scalars: Vec<(&'static str, f64)>,
+    /// Named row sections, in document order.
+    pub sections: Vec<(&'static str, Vec<Row>)>,
+}
+
+impl BenchReport {
+    /// The report as one JSON document: header, scalars, then sections.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let mut doc: Row = vec![
+            ("bench", Value::Str(self.bench.into())),
+            ("host_parallelism", int(self.host_parallelism)),
+        ];
+        doc.extend(self.scalars.iter().map(|&(k, v)| (k, Value::Float(v))));
+        for (k, rows) in &self.sections {
+            doc.push((k, Value::Array(rows.iter().map(object).collect())));
+        }
+        object(&doc)
+    }
+
+    /// Serializes [`Self::to_value`] with [`saber_testkit::json::write`].
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        json::write(&self.to_value())
+    }
+
+    /// Formats the report as text: header, scalars, one table per
+    /// section.
+    #[must_use]
+    pub fn format_text(&self) -> String {
+        let mut out = format!(
+            "{} (host parallelism: {} cores)\n",
+            self.bench, self.host_parallelism
+        );
+        for (name, value) in &self.scalars {
+            out.push_str(&format!("{name}: {value:.3}\n"));
+        }
+        for (name, rows) in &self.sections {
+            out.push_str(&format!("\n{name}\n{}", format_table(rows)));
+        }
+        out
+    }
+
+    /// Writes the JSON to `path` (benches run with `crates/bench` as
+    /// their working directory) and says where it went.
+    pub fn write(&self, path: &str) {
+        match std::fs::write(path, self.to_json()) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => println!("could not write {path}: {e}"),
+        }
+    }
+}
+
 /// One service-scaling data point: one operation on one parameter set
 /// at one worker count, with both the measured time and the model's
 /// projection (see [`ServiceBenchReport`] for the basis policy).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceBenchEntry {
     /// Parameter set name (`LightSaber` / `Saber` / `FireSaber`).
     pub params: String,
@@ -160,15 +302,18 @@ impl ServiceBenchEntry {
         }
     }
 
-    /// Operations per second implied by the basis-selected time.
+    /// The entry's report row.
     #[must_use]
-    pub fn ops_per_sec(&self) -> f64 {
-        let ns = self.effective_ns_per_op();
-        if ns > 0.0 {
-            1e9 / ns
-        } else {
-            0.0
-        }
+    pub fn row(&self) -> Row {
+        vec![
+            ("params", Value::Str(self.params.clone())),
+            ("op", Value::Str(self.op.clone())),
+            ("workers", int(self.workers)),
+            ("host_parallelism", int(self.host_parallelism)),
+            ("measured_ns_per_op", Value::Float(self.measured_ns_per_op)),
+            ("projected_ns_per_op", Value::Float(self.projected_ns_per_op)),
+            ("basis", Value::Str(self.basis.clone())),
+        ]
     }
 }
 
@@ -260,121 +405,32 @@ impl ServiceBenchReport {
         }
     }
 
-    /// Serializes as `BENCH_service.json`: the `bench` tag, the host
-    /// core count, the flat entry list (measured + projected + basis),
-    /// and the derived worker-scaling speedups.
+    /// The `BENCH_service.json` report: the `entries` (measured +
+    /// projected + basis) and `soak` sections.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"bench\": \"service_throughput\",\n  \"host_parallelism\": {},\n  \"entries\": [\n",
-            self.host_parallelism
-        );
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"params\": \"{}\", \"op\": \"{}\", \"workers\": {}, \
-                 \"host_parallelism\": {}, \
-                 \"measured_ns_per_op\": {:.1}, \"projected_ns_per_op\": {:.1}, \
-                 \"basis\": \"{}\", \"ops_per_sec\": {:.2}}}{}\n",
-                e.params,
-                e.op,
-                e.workers,
-                e.host_parallelism,
-                e.measured_ns_per_op,
-                e.projected_ns_per_op,
-                e.basis,
-                e.ops_per_sec(),
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
+    pub fn report(&self) -> BenchReport {
+        BenchReport {
+            bench: "service_throughput",
+            host_parallelism: self.host_parallelism,
+            scalars: Vec::new(),
+            sections: vec![
+                ("entries", rows(&self.entries, ServiceBenchEntry::row)),
+                ("soak", rows(&self.soak, SoakBenchEntry::row)),
+            ],
         }
-        out.push_str("  ],\n  \"scaling\": [\n");
-        let lines: Vec<String> = self
-            .entries
-            .iter()
-            .filter(|e| e.workers > 1)
-            .filter_map(|e| {
-                self.speedup_vs_single(&e.params, &e.op, e.workers).map(|s| {
-                    format!(
-                        "    {{\"params\": \"{}\", \"op\": \"{}\", \"workers\": {}, \
-                         \"speedup_vs_1\": {s:.2}, \"basis\": \"{}\"}}",
-                        e.params, e.op, e.workers, e.basis
-                    )
-                })
-            })
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  ],\n  \"soak\": [\n");
-        let soak_lines: Vec<String> = self
-            .soak
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"trace\": \"{}\", \"workers\": {}, \
-                     \"overload_x\": {:.2}, \"offered_per_sec\": {:.2}, \
-                     \"goodput_per_sec\": {:.2}, \"shed\": {}, \
-                     \"p50_wait_ns\": {}, \"p99_wait_ns\": {}}}",
-                    s.trace,
-                    s.workers,
-                    s.overload_x,
-                    s.offered_per_sec,
-                    s.goodput_per_sec,
-                    s.shed,
-                    s.p50_wait_ns,
-                    s.p99_wait_ns
-                )
-            })
-            .collect();
-        out.push_str(&soak_lines.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
     }
 
-    /// Formats the report as a printable text table.
+    /// Formats the report as text, with each entry's derived speedup
+    /// over 1 worker and basis-selected throughput appended.
     #[must_use]
     pub fn format_text(&self) -> String {
-        let mut out = format!("host parallelism: {} cores\n", self.host_parallelism);
-        out.push_str(&format!(
-            "{:<12} {:<10} {:>7} {:>5} {:>14} {:>14} {:<10} {:>9}\n",
-            "params", "op", "workers", "cores", "measured ns", "projected ns", "basis", "vs 1w"
-        ));
-        out.push_str(&format!("{}\n", "-".repeat(88)));
-        for e in &self.entries {
-            let speedup = self
-                .speedup_vs_single(&e.params, &e.op, e.workers)
-                .map_or_else(|| "-".into(), |s| format!("{s:.2}x"));
-            out.push_str(&format!(
-                "{:<12} {:<10} {:>7} {:>5} {:>14.0} {:>14.0} {:<10} {:>9}\n",
-                e.params,
-                e.op,
-                e.workers,
-                e.host_parallelism,
-                e.measured_ns_per_op,
-                e.projected_ns_per_op,
-                e.basis,
-                speedup
-            ));
+        let mut report = self.report();
+        for (row, e) in report.sections[0].1.iter_mut().zip(&self.entries) {
+            let speedup = self.speedup_vs_single(&e.params, &e.op, e.workers);
+            row.push(("speedup_vs_1", speedup.map_or(Value::Null, Value::Float)));
+            row.push(("ops_per_sec", Value::Float(1e9 / e.effective_ns_per_op())));
         }
-        if !self.soak.is_empty() {
-            out.push_str(&format!(
-                "\nsoak (open-loop overload)\n{:<8} {:>7} {:>6} {:>12} {:>12} {:>6} {:>12} {:>12}\n",
-                "trace", "workers", "over", "offered/s", "goodput/s", "shed", "p50 wait ns",
-                "p99 wait ns"
-            ));
-            out.push_str(&format!("{}\n", "-".repeat(81)));
-            for s in &self.soak {
-                out.push_str(&format!(
-                    "{:<8} {:>7} {:>5.1}x {:>12.1} {:>12.1} {:>6} {:>12} {:>12}\n",
-                    s.trace,
-                    s.workers,
-                    s.overload_x,
-                    s.offered_per_sec,
-                    s.goodput_per_sec,
-                    s.shed,
-                    s.p50_wait_ns,
-                    s.p99_wait_ns
-                ));
-            }
-        }
-        out
+        report.format_text()
     }
 }
 
@@ -382,7 +438,7 @@ impl ServiceBenchReport {
 /// at a multiple of the pool's measured capacity — the honest "what
 /// does saturation cost" measurement the closed-loop scaling entries
 /// cannot make.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SoakBenchEntry {
     /// Arrival process label (`poisson` / `bursty`).
     pub trace: String,
@@ -401,6 +457,23 @@ pub struct SoakBenchEntry {
     pub p50_wait_ns: u64,
     /// 99th-percentile queue wait, nanoseconds.
     pub p99_wait_ns: u64,
+}
+
+impl SoakBenchEntry {
+    /// The soak result's report row.
+    #[must_use]
+    pub fn row(&self) -> Row {
+        vec![
+            ("trace", Value::Str(self.trace.clone())),
+            ("workers", int(self.workers)),
+            ("overload_x", Value::Float(self.overload_x)),
+            ("offered_per_sec", Value::Float(self.offered_per_sec)),
+            ("goodput_per_sec", Value::Float(self.goodput_per_sec)),
+            ("shed", int(self.shed)),
+            ("p50_wait_ns", int(self.p50_wait_ns)),
+            ("p99_wait_ns", int(self.p99_wait_ns)),
+        ]
+    }
 }
 
 /// One architecture's occupancy/stall summary, derived from the
@@ -444,6 +517,22 @@ impl OccupancyEntry {
             ops_total: t.ops_total(),
         }
     }
+
+    /// The summary's report row.
+    #[must_use]
+    pub fn row(&self) -> Row {
+        vec![
+            ("arch", Value::Str(self.arch.clone())),
+            ("units", int(self.units)),
+            ("total_cycles", int(self.total_cycles)),
+            ("steady_phase", Value::Str(self.steady_phase.clone())),
+            ("steady_cycles", int(self.steady_cycles)),
+            ("occupancy", Value::Float(self.occupancy)),
+            ("utilization", Value::Float(self.utilization)),
+            ("stall_cycles", int(self.stall_cycles)),
+            ("ops_total", int(self.ops_total)),
+        ]
+    }
 }
 
 /// Runs every instrumented architecture once and summarizes the
@@ -467,80 +556,30 @@ pub fn measured_occupancy() -> Vec<OccupancyEntry> {
     entries
 }
 
-/// The `BENCH_trace.json` report: per-architecture occupancy/stall
-/// summaries plus the tracing layer's measured probe costs (the
-/// disabled-path cost is the number the CI gate thresholds).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceBenchReport {
-    /// Occupancy summaries, one per architecture configuration.
-    pub entries: Vec<OccupancyEntry>,
-    /// Mean cost of one *disabled* tracing probe, nanoseconds.
-    pub disabled_probe_ns: f64,
-    /// Mean cost of one *enabled* (recording) span, nanoseconds.
-    pub enabled_probe_ns: f64,
-}
-
-impl TraceBenchReport {
-    /// The entry for one architecture track, if recorded.
-    #[must_use]
-    pub fn arch(&self, arch: &str) -> Option<&OccupancyEntry> {
-        self.entries.iter().find(|e| e.arch == arch)
-    }
-
-    /// Serializes as `BENCH_trace.json`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"bench\": \"trace_occupancy\",\n  \"disabled_probe_ns\": {:.3},\n  \"enabled_probe_ns\": {:.3},\n  \"entries\": [\n",
-            self.disabled_probe_ns, self.enabled_probe_ns
-        );
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"units\": {}, \"total_cycles\": {}, \
-                 \"steady_phase\": \"{}\", \"steady_cycles\": {}, \"occupancy\": {:.4}, \
-                 \"utilization\": {:.4}, \"stall_cycles\": {}, \"ops_total\": {}}}{}\n",
-                e.arch,
-                e.units,
-                e.total_cycles,
-                e.steady_phase,
-                e.steady_cycles,
-                e.occupancy,
-                e.utilization,
-                e.stall_cycles,
-                e.ops_total,
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Formats the report as a printable text table.
-    #[must_use]
-    pub fn format_text(&self) -> String {
-        let mut out = format!(
-            "{:<10} {:>6} {:>13} {:>14} {:>10} {:>12} {:>8}\n",
-            "arch", "units", "total cycles", "steady cycles", "occupancy", "utilization", "stalls"
-        );
-        out.push_str(&format!("{}\n", "-".repeat(80)));
-        for e in &self.entries {
-            out.push_str(&format!(
-                "{:<10} {:>6} {:>13} {:>14} {:>10.3} {:>12.3} {:>8}\n",
-                e.arch, e.units, e.total_cycles, e.steady_cycles, e.occupancy, e.utilization, e.stall_cycles
-            ));
-        }
-        out.push_str(&format!(
-            "probe cost: disabled {:.2} ns, enabled {:.2} ns\n",
-            self.disabled_probe_ns, self.enabled_probe_ns
-        ));
-        out
+/// The `BENCH_trace.json` report: [`measured_occupancy`] as `entries`,
+/// plus the tracing layer's measured probe costs (the disabled-path
+/// cost is the number the CI gate thresholds).
+#[must_use]
+pub fn trace_report(
+    host_parallelism: u64,
+    disabled_probe_ns: f64,
+    enabled_probe_ns: f64,
+) -> BenchReport {
+    BenchReport {
+        bench: "trace_occupancy",
+        host_parallelism,
+        scalars: vec![
+            ("disabled_probe_ns", disabled_probe_ns),
+            ("enabled_probe_ns", enabled_probe_ns),
+        ],
+        sections: vec![("entries", rows(&measured_occupancy(), OccupancyEntry::row))],
     }
 }
 
 /// One leakage-detector run in the timing report: a target (engine,
 /// KEM pipeline, or planted mutant), its verdict, and the final Welch
 /// t-statistic behind it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimingLeakEntry {
     /// Target label, e.g. `mul/ct`, `kem/decaps-ct`,
     /// `mutant/ct-scan-early-exit`.
@@ -552,15 +591,32 @@ pub struct TimingLeakEntry {
     /// Final Welch t-statistic (signed; |t| is what the gate compares).
     pub t_stat: f64,
     /// Samples collected before the verdict (early exit on leak).
-    pub samples: usize,
+    pub samples: u64,
     /// Samples discarded by the percentile crop.
-    pub cropped: usize,
+    pub cropped: u64,
+}
+
+impl TimingLeakEntry {
+    /// The detector run's report row.
+    #[must_use]
+    pub fn row(&self) -> Row {
+        vec![
+            ("target", Value::Str(self.target.clone())),
+            ("role", Value::Str(self.role.clone())),
+            ("verdict", Value::Str(self.verdict.clone())),
+            ("t_stat", Value::Float(self.t_stat)),
+            ("samples", int(self.samples)),
+            ("cropped", int(self.cropped)),
+        ]
+    }
 }
 
 /// The `BENCH_timing.json` document: per-target leakage verdicts plus
 /// the constant-time engine's single-product latency.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimingReport {
+    /// Cores visible to the measuring host.
+    pub host_parallelism: u64,
     /// All detector runs, controls included.
     pub entries: Vec<TimingLeakEntry>,
     /// Single-product latency of the ct engine (ns), if measured.
@@ -568,26 +624,6 @@ pub struct TimingReport {
 }
 
 impl TimingReport {
-    /// Records one detector run.
-    pub fn push(
-        &mut self,
-        target: &str,
-        role: &str,
-        verdict: &str,
-        t_stat: f64,
-        samples: usize,
-        cropped: usize,
-    ) {
-        self.entries.push(TimingLeakEntry {
-            target: target.into(),
-            role: role.into(),
-            verdict: verdict.into(),
-            t_stat,
-            samples,
-            cropped,
-        });
-    }
-
     /// Whether every control behaved: negative controls pass, positive
     /// controls leak.
     #[must_use]
@@ -599,56 +635,22 @@ impl TimingReport {
         })
     }
 
-    /// Serializes as the `BENCH_timing.json` document.
+    /// The `BENCH_timing.json` report: `ct_ns_per_product` and the
+    /// detector runs as `entries`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"bench\": \"timing_leakage\",\n  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"target\": \"{}\", \"role\": \"{}\", \"verdict\": \"{}\", \
-                 \"t_stat\": {:.3}, \"samples\": {}, \"cropped\": {}}}{}\n",
-                e.target,
-                e.role,
-                e.verdict,
-                e.t_stat,
-                e.samples,
-                e.cropped,
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
+    pub fn report(&self) -> BenchReport {
+        BenchReport {
+            bench: "timing_leakage",
+            host_parallelism: self.host_parallelism,
+            scalars: vec![("ct_ns_per_product", self.ct_ns_per_product)],
+            sections: vec![("entries", rows(&self.entries, TimingLeakEntry::row))],
         }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"controls_hold\": {},\n",
-            self.controls_hold()
-        ));
-        out.push_str(&format!(
-            "  \"ct_ns_per_product\": {:.1}\n}}\n",
-            self.ct_ns_per_product
-        ));
-        out
     }
 
-    /// Formats the report as a printable text table.
+    /// Formats the report as text, with the derived control verdict.
     #[must_use]
     pub fn format_text(&self) -> String {
-        let mut out = format!(
-            "{:<28} {:<18} {:<14} {:>10} {:>9} {:>9}\n",
-            "target", "role", "verdict", "t", "samples", "cropped"
-        );
-        out.push_str(&format!("{}\n", "-".repeat(94)));
-        for e in &self.entries {
-            out.push_str(&format!(
-                "{:<28} {:<18} {:<14} {:>10.2} {:>9} {:>9}\n",
-                e.target, e.role, e.verdict, e.t_stat, e.samples, e.cropped
-            ));
-        }
-        if self.ct_ns_per_product > 0.0 {
-            out.push_str(&format!(
-                "ct engine cost: {:.0} ns/product\n",
-                self.ct_ns_per_product
-            ));
-        }
-        out
+        format!("{}controls_hold: {}\n", self.report().format_text(), self.controls_hold())
     }
 }
 
@@ -656,29 +658,55 @@ impl TimingReport {
 mod tests {
     use super::*;
 
+    /// Parses the report's JSON back with the in-tree codec: every
+    /// header field, scalar and row cell must read back equal, in order.
+    fn round_trip(report: &BenchReport) -> Value {
+        let doc = json::parse(&report.to_json()).expect("writer emits valid JSON");
+        assert_eq!(doc, report.to_value());
+        doc
+    }
+
+    fn leak_run(target: &str, role: &str, verdict: &str, t_stat: f64) -> TimingLeakEntry {
+        TimingLeakEntry {
+            target: target.into(),
+            role: role.into(),
+            verdict: verdict.into(),
+            t_stat,
+            samples: 512,
+            cropped: 40,
+        }
+    }
+
     #[test]
-    fn timing_report_checks_controls_and_records_ct_cost() {
-        let mut r = TimingReport::default();
-        r.push("mul/ct", "negative-control", "pass", 0.8, 2000, 160);
-        r.push("mutant/early-exit", "positive-control", "leak", 64.2, 512, 40);
+    fn timing_report_round_trips_without_stored_verdict() {
+        let r = TimingReport {
+            host_parallelism: 2,
+            entries: vec![
+                leak_run("mul/ct", "negative-control", "pass", 0.8),
+                leak_run("mutant/early-exit", "positive-control", "leak", 64.2),
+            ],
+            ct_ns_per_product: 5_000.0,
+        };
         assert!(r.controls_hold());
-        r.ct_ns_per_product = 5_000.0;
-        let json = r.to_json();
-        assert!(json.contains("\"bench\": \"timing_leakage\""));
-        assert!(json.contains("\"controls_hold\": true"));
-        assert!(json.contains("\"ct_ns_per_product\": 5000.0"));
+        let doc = round_trip(&r.report());
+        let entries = doc.get("entries").and_then(Value::as_array).unwrap();
+        assert_eq!(entries[1].get("t_stat"), Some(&Value::Float(64.2)));
+        assert_eq!(entries[1].int_field("samples").unwrap(), 512);
+        assert_eq!(doc.get("ct_ns_per_product"), Some(&Value::Float(5000.0)));
+        assert!(doc.get("controls_hold").is_none(), "derived, not stored");
         let text = r.format_text();
-        assert!(text.contains("mutant/early-exit"));
-        assert!(text.contains("5000 ns/product"));
+        assert!(text.contains("mutant/early-exit"), "{text}");
+        assert!(text.contains("ct_ns_per_product: 5000.000"), "{text}");
+        assert!(text.contains("controls_hold: true"), "{text}");
     }
 
     #[test]
     fn timing_report_flags_misbehaving_controls() {
         let mut r = TimingReport::default();
-        r.push("mul/ct", "negative-control", "leak", 12.0, 900, 70);
+        r.entries.push(leak_run("mul/ct", "negative-control", "leak", 12.0));
         assert!(!r.controls_hold(), "a leaking ct engine must fail");
         let mut r = TimingReport::default();
-        r.push("mutant/early-exit", "positive-control", "pass", 1.0, 2000, 160);
+        r.entries.push(leak_run("mutant/early-exit", "positive-control", "pass", 1.0));
         assert!(!r.controls_hold(), "an undetected mutant must fail");
     }
 
@@ -777,12 +805,10 @@ mod tests {
             "degraded keeps the (suspect) measurement visible"
         );
         assert_eq!(r.entry("Saber", "matvec", 2).unwrap().basis, "measured");
-        let json = r.to_json();
-        assert!(json.contains("\"basis\": \"degraded\""), "{json}");
     }
 
     #[test]
-    fn soak_entries_serialize_into_their_own_section() {
+    fn service_report_round_trips_entries_and_soak() {
         let mut r = sample_service_report();
         r.soak.push(SoakBenchEntry {
             trace: "poisson".into(),
@@ -794,17 +820,17 @@ mod tests {
             p50_wait_ns: 4_096_000,
             p99_wait_ns: 16_384_000,
         });
-        let json = r.to_json();
-        assert!(json.contains("\"soak\": ["), "{json}");
-        assert!(json.contains("\"trace\": \"poisson\""));
-        assert!(json.contains("\"overload_x\": 2.00"));
-        assert!(json.contains("\"goodput_per_sec\": 480.50"));
-        assert!(json.contains("\"p99_wait_ns\": 16384000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let text = r.format_text();
-        assert!(text.contains("soak (open-loop overload)"), "{text}");
-        assert!(text.contains("poisson"));
+        let doc = round_trip(&r.report());
+        let entries = doc.get("entries").and_then(Value::as_array).unwrap();
+        assert_eq!(entries[2].str_field("basis").unwrap(), "projected");
+        assert_eq!(entries[1].get("measured_ns_per_op"), Some(&Value::Float(2150.0)));
+        let soak = doc.get("soak").and_then(Value::as_array).unwrap();
+        assert_eq!(soak[0].int_field("p99_wait_ns").unwrap(), 16_384_000);
+        assert_eq!(soak[0].get("goodput_per_sec"), Some(&Value::Float(480.5)));
+        for derived in ["scaling", "ops_per_sec"] {
+            assert!(doc.get(derived).is_none(), "{derived} is derived, not stored");
+            assert!(entries[0].get(derived).is_none(), "{derived} is derived, not stored");
+        }
     }
 
     #[test]
@@ -821,63 +847,63 @@ mod tests {
     }
 
     #[test]
-    fn service_report_json_shape() {
-        let json = sample_service_report().to_json();
-        assert!(json.contains("\"bench\": \"service_throughput\""));
-        assert!(json.contains("\"host_parallelism\": 2"));
-        assert!(json.contains("\"basis\": \"projected\""));
-        assert!(json.contains("\"speedup_vs_1\": 3.73"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn service_report_text_lists_scaling() {
+    fn service_report_text_lists_derived_scaling() {
         let text = sample_service_report().format_text();
-        assert!(text.contains("host parallelism: 2 cores"));
+        assert!(text.contains("host parallelism: 2 cores"), "{text}");
         assert!(text.contains("projected"));
-        assert!(text.contains("3.73x"));
+        assert!(text.contains("speedup_vs_1"));
+        assert!(text.contains("3.73"), "4-worker speedup 4100/1100: {text}");
+        assert!(text.contains("909090.91"), "4-worker ops/s 1e9/1100: {text}");
     }
 
     #[test]
     fn measured_occupancy_reproduces_the_paper_budgets() {
         let entries = measured_occupancy();
         assert_eq!(entries.len(), 7);
-        let report = TraceBenchReport {
-            entries,
-            ..TraceBenchReport::default()
-        };
+        let arch = |name: &str| entries.iter().find(|e| e.arch == name).expect(name);
         // HS-II: ≥ 4 MACs per DSP per issue cycle, 128 issue cycles.
-        let hs2 = report.arch("hs2-128").expect("HS-II entry");
+        let hs2 = arch("hs2-128");
         assert!(hs2.occupancy >= 4.0 - 1e-9, "{}", hs2.occupancy);
         assert_eq!(hs2.steady_cycles, 128);
         assert_eq!(hs2.ops_total, 65_536);
         // HS-I 512 halves compute at full occupancy.
-        let hs1 = report.arch("hs1-512").expect("HS-I entry");
+        let hs1 = arch("hs1-512");
         assert_eq!(hs1.steady_cycles, 128);
         assert!((hs1.occupancy - 1.0).abs() < 1e-12);
         // LW: 16,384 compute cycles, stalls = everything else.
-        let lw = report.arch("lw-4").expect("LW entry");
+        let lw = arch("lw-4");
         assert_eq!(lw.steady_cycles, 16_384);
         assert_eq!(lw.stall_cycles, lw.total_cycles - 16_384);
     }
 
     #[test]
-    fn trace_report_json_shape() {
-        let report = TraceBenchReport {
-            entries: measured_occupancy(),
-            disabled_probe_ns: 0.9,
-            enabled_probe_ns: 42.5,
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"trace_occupancy\""));
-        assert!(json.contains("\"disabled_probe_ns\": 0.900"));
-        assert!(json.contains("\"arch\": \"hs2-128\""));
-        assert!(json.contains("\"steady_phase\": \"issue\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+    fn trace_report_round_trips_occupancy_and_probe_costs() {
+        let report = trace_report(2, 0.9, 42.5);
+        let doc = round_trip(&report);
+        assert_eq!(doc.get("disabled_probe_ns"), Some(&Value::Float(0.9)));
+        let entries = doc.get("entries").and_then(Value::as_array).unwrap();
+        let hs2 = entries
+            .iter()
+            .find(|e| e.str_field("arch").ok() == Some("hs2-128"))
+            .expect("HS-II row");
+        assert_eq!(hs2.get("occupancy"), Some(&Value::Float(4.0)));
+        assert_eq!(hs2.str_field("steady_phase").unwrap(), "issue");
         let text = report.format_text();
-        assert!(text.contains("probe cost"));
+        assert!(text.contains("disabled_probe_ns: 0.900"), "{text}");
         assert!(text.contains("lw-4"));
+    }
+
+    #[test]
+    fn column_formatter_aligns_every_row() {
+        let rows: Vec<Row> = vec![
+            vec![("name", Value::Str("a".into())), ("n", Value::Int(7))],
+            vec![("name", Value::Str("longer".into())), ("n", Value::Int(12345))],
+        ];
+        let text = format_table(&rows);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "name        n");
+        assert_eq!(lines[2], "a           7");
+        assert_eq!(lines[3], "longer  12345");
+        assert!(format_table(&[]).is_empty());
     }
 }

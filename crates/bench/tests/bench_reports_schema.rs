@@ -5,111 +5,93 @@
 //! result. A malformed or stale report (hand-edited, truncated by a
 //! crashed bench, or drifted from the writer's schema) would poison
 //! every later comparison, so `tools/ci.sh bench_reports` runs this
-//! test: every artifact must parse with the in-tree JSON codec, carry
-//! its expected `bench` tag, and type-check field-by-field against the
-//! writer's schema. The trace-occupancy report additionally pins the
-//! golden cycle totals (341/213/216/152/18928) — the same family of
-//! constants the cycle-model KATs and the SoC VCD consistency tests
-//! lock, so a report regenerated from a perturbed model fails here even
-//! if it is syntactically perfect.
+//! test. The schema is not restated here: every artifact must parse
+//! with the in-tree JSON codec and match, key for key and kind for
+//! kind, what its own writer ([`BenchReport`]) emits for a sample
+//! report — the same header and scalars, and in every section exactly
+//! the writer's row columns. Derived values (service speedups, the
+//! timing controls verdict) are recomputed from the rows. The
+//! trace-occupancy report additionally pins the golden cycle totals
+//! (341/213/216/152/18928) — the same family of constants the
+//! cycle-model KATs and the SoC VCD consistency tests lock, so a report
+//! regenerated from a perturbed model fails here even if it is
+//! syntactically perfect.
 
 use std::path::Path;
 
+use saber_bench::tables::{trace_report, BenchReport, ServiceBenchReport, TimingReport};
 use saber_ring::EngineKind;
 use saber_testkit::json::{parse, Value};
 
-/// Field type expectations, matching what each bench writer emits.
-#[derive(Clone, Copy)]
-enum Kind {
-    Str,
-    Int,
-    /// Any finite number (integer or float).
-    Num,
+/// Each committed report with a one-row-per-section sample from its
+/// writer, which fixes the header, scalars, columns and value kinds.
+fn writers() -> [(&'static str, BenchReport); 3] {
+    let service = ServiceBenchReport {
+        entries: vec![Default::default()],
+        soak: vec![Default::default()],
+        ..ServiceBenchReport::default()
+    };
+    let timing = TimingReport {
+        entries: vec![Default::default()],
+        ..TimingReport::default()
+    };
+    [
+        ("BENCH_service.json", service.report()),
+        ("BENCH_timing.json", timing.report()),
+        ("BENCH_trace.json", trace_report(1, 0.0, 0.0)),
+    ]
 }
 
-struct Schema {
-    file: &'static str,
-    bench_tag: &'static str,
-    /// Required non-entry top-level fields.
-    top: &'static [(&'static str, Kind)],
-    /// Required fields of every element of `entries`.
-    entry: &'static [(&'static str, Kind)],
+fn keys(object: &[(String, Value)]) -> Vec<&str> {
+    object.iter().map(|(k, _)| k.as_str()).collect()
 }
 
-const SCHEMAS: &[Schema] = &[
-    Schema {
-        file: "BENCH_service.json",
-        bench_tag: "service_throughput",
-        top: &[("host_parallelism", Kind::Int)],
-        entry: &[
-            ("params", Kind::Str),
-            ("op", Kind::Str),
-            ("workers", Kind::Int),
-            ("host_parallelism", Kind::Int),
-            ("measured_ns_per_op", Kind::Num),
-            ("projected_ns_per_op", Kind::Num),
-            ("basis", Kind::Str),
-            ("ops_per_sec", Kind::Num),
-        ],
-    },
-    Schema {
-        file: "BENCH_timing.json",
-        bench_tag: "timing_leakage",
-        top: &[],
-        entry: &[
-            ("target", Kind::Str),
-            ("role", Kind::Str),
-            ("verdict", Kind::Str),
-            ("t_stat", Kind::Num),
-            ("samples", Kind::Int),
-            ("cropped", Kind::Int),
-        ],
-    },
-    Schema {
-        file: "BENCH_trace.json",
-        bench_tag: "trace_occupancy",
-        top: &[
-            ("disabled_probe_ns", Kind::Num),
-            ("enabled_probe_ns", Kind::Num),
-        ],
-        entry: &[
-            ("arch", Kind::Str),
-            ("units", Kind::Int),
-            ("total_cycles", Kind::Int),
-            ("steady_phase", Kind::Str),
-            ("steady_cycles", Kind::Int),
-            ("occupancy", Kind::Num),
-            ("utilization", Kind::Num),
-            ("stall_cycles", Kind::Int),
-            ("ops_total", Kind::Int),
-        ],
-    },
-];
-
-fn check_field(owner: &Value, name: &str, kind: Kind, ctx: &str) {
-    let field = owner
-        .get(name)
-        .unwrap_or_else(|| panic!("{ctx}: missing field {name:?}"));
-    match kind {
-        Kind::Str => {
-            assert!(
-                field.as_str().is_some_and(|s| !s.is_empty()),
-                "{ctx}: field {name:?} must be a non-empty string"
-            );
+/// Whether `got` has the shape of the writer's `want`: objects with the
+/// same keys in order, non-empty arrays whose every element conforms to
+/// the writer's first, and scalars of the same JSON kind (strings
+/// non-empty).
+fn conforms(want: &Value, got: &Value, at: &str) -> Result<(), String> {
+    match (want, got) {
+        (Value::Object(w), Value::Object(g)) => {
+            if keys(w) != keys(g) {
+                let (w, g) = (keys(w), keys(g));
+                return Err(format!("{at}: keys {g:?}, writer emits {w:?}"));
+            }
+            for ((k, w), (_, g)) in w.iter().zip(g) {
+                conforms(w, g, &format!("{at}.{k}"))?;
+            }
+            Ok(())
         }
-        Kind::Int => {
-            assert!(
-                field.as_int().is_some(),
-                "{ctx}: field {name:?} must be an integer"
-            );
+        (Value::Array(w), Value::Array(g)) => {
+            let sample = w.first().ok_or(format!("{at}: empty writer sample"))?;
+            if g.is_empty() {
+                return Err(format!("{at}: empty section"));
+            }
+            for (i, item) in g.iter().enumerate() {
+                conforms(sample, item, &format!("{at}[{i}]"))?;
+            }
+            Ok(())
         }
-        Kind::Num => {
-            let v = field
-                .as_number()
-                .unwrap_or_else(|| panic!("{ctx}: field {name:?} must be a number"));
-            assert!(v.is_finite(), "{ctx}: field {name:?} must be finite, got {v}");
+        _ if std::mem::discriminant(want) != std::mem::discriminant(got) => {
+            Err(format!("{at}: writer emits {want:?}-kind, found {got:?}"))
         }
+        _ if got.as_str() == Some("") => Err(format!("{at}: empty string")),
+        _ => Ok(()),
     }
+}
+
+/// Checks `doc` against its writer: the same shape as the writer's
+/// sample report, the writer's `bench` tag, and a positive
+/// `host_parallelism`.
+fn check_shape(doc: &Value, writer: &BenchReport) -> Result<(), String> {
+    conforms(&writer.to_value(), doc, "report")?;
+    if doc.str_field("bench")? != writer.bench {
+        return Err(format!("bench tag is not {:?}", writer.bench));
+    }
+    if doc.int_field("host_parallelism")? < 1 {
+        return Err("host_parallelism must be at least 1".into());
+    }
+    Ok(())
 }
 
 fn load(file: &str) -> Value {
@@ -119,29 +101,35 @@ fn load(file: &str) -> Value {
     parse(&text).unwrap_or_else(|e| panic!("{file}: malformed JSON: {e}"))
 }
 
+fn first_entry(doc: &Value) -> &Value {
+    &doc.get("entries").and_then(Value::as_array).expect("entries")[0]
+}
+
 #[test]
-fn every_committed_bench_report_matches_its_schema() {
-    for schema in SCHEMAS {
-        let doc = load(schema.file);
-        let ctx = schema.file;
-        assert_eq!(
-            doc.str_field("bench").unwrap_or_else(|e| panic!("{ctx}: {e}")),
-            schema.bench_tag,
-            "{ctx}: wrong bench tag"
-        );
-        for (name, kind) in schema.top {
-            check_field(&doc, name, *kind, ctx);
-        }
-        let entries = doc
-            .get("entries")
-            .and_then(Value::as_array)
-            .unwrap_or_else(|| panic!("{ctx}: missing entries array"));
-        assert!(!entries.is_empty(), "{ctx}: entries must be non-empty");
-        for (i, entry) in entries.iter().enumerate() {
-            let ctx = format!("{ctx} entry {i}");
-            for (name, kind) in schema.entry {
-                check_field(entry, name, *kind, &ctx);
-            }
+fn every_committed_bench_report_matches_its_writer() {
+    for (file, writer) in writers() {
+        check_shape(&load(file), &writer).unwrap_or_else(|e| panic!("{file}: {e}"));
+    }
+}
+
+/// Dropping any one column from a committed row must fail the shape
+/// check: the schema is the writer's full column list, not a subset.
+#[test]
+fn a_row_missing_one_writer_column_is_rejected() {
+    for (file, writer) in writers() {
+        let (doc, want) = (load(file), writer.to_value());
+        let (row, sample) = (first_entry(&doc), first_entry(&want));
+        conforms(sample, row, file).unwrap_or_else(|e| panic!("{e}"));
+        let Value::Object(cells) = row else {
+            panic!("{file}: row is not an object");
+        };
+        for c in 0..cells.len() {
+            let mut cut = cells.clone();
+            let (column, _) = cut.remove(c);
+            assert!(
+                conforms(sample, &Value::Object(cut), file).is_err(),
+                "{file}: a row without {column:?} passed the schema"
+            );
         }
     }
 }
@@ -200,9 +188,9 @@ fn service_report_bases_are_honest() {
     }
 }
 
-/// The soak section must cover both arrival traces at ≥2× overload with
-/// well-formed goodput/wait fields: one row per trace, and no overload
-/// policy dimension (the service always rejects at capacity).
+/// The soak section covers both arrival traces at ≥2× overload with
+/// positive goodput: exactly one row per trace (the service always
+/// rejects at capacity, so there is no policy dimension).
 #[test]
 fn service_report_soak_section_covers_both_traces_under_overload() {
     let doc = load("BENCH_service.json");
@@ -214,20 +202,6 @@ fn service_report_soak_section_covers_both_traces_under_overload() {
             .find(|e| e.str_field("trace").ok() == Some(trace))
             .unwrap_or_else(|| panic!("soak missing {trace}"));
         let ctx = format!("soak {trace}");
-        for (name, kind) in [
-            ("workers", Kind::Int),
-            ("overload_x", Kind::Num),
-            ("offered_per_sec", Kind::Num),
-            ("goodput_per_sec", Kind::Num),
-            ("shed", Kind::Int),
-            ("p50_wait_ns", Kind::Int),
-            ("p99_wait_ns", Kind::Int),
-        ] {
-            check_field(entry, name, kind, &ctx);
-        }
-        for retired in ["policy", "degraded_admissions"] {
-            assert!(entry.get(retired).is_none(), "{ctx}: retired field {retired:?}");
-        }
         let overload = entry.get("overload_x").and_then(Value::as_number).unwrap();
         assert!(overload >= 2.0, "{ctx}: overload_x {overload} below the 2x floor");
         let goodput = entry
@@ -238,28 +212,28 @@ fn service_report_soak_section_covers_both_traces_under_overload() {
     }
 }
 
-#[test]
-fn timing_report_verdicts_are_pass_or_leak() {
-    let doc = load("BENCH_timing.json");
-    for entry in doc.get("entries").and_then(Value::as_array).expect("entries") {
-        let verdict = entry.str_field("verdict").expect("verdict");
-        assert!(
-            matches!(verdict, "pass" | "leak"),
-            "unknown timing verdict {verdict:?}"
-        );
-    }
-}
-
-/// The timing report's `mul/*` rows cover exactly the hot-path engine,
-/// its controls hold, and the constant-time engine is the clean one.
+/// Every timing verdict is `pass` or `leak`; the controls hold —
+/// recomputed from each row's role and verdict: negative controls pass,
+/// positive controls leak; the `mul/*` rows cover exactly the hot-path
+/// engine; and the constant-time engine is the clean one.
 #[test]
 fn timing_report_controls_hold_over_the_selectable_engines() {
     let doc = load("BENCH_timing.json");
-    assert!(
-        matches!(doc.get("controls_hold"), Some(Value::Bool(true))),
-        "BENCH_timing.json: controls_hold must be true"
-    );
     let entries = doc.get("entries").and_then(Value::as_array).expect("entries");
+    for e in entries {
+        let target = e.str_field("target").expect("target");
+        let verdict = e.str_field("verdict").expect("verdict");
+        assert!(
+            matches!(verdict, "pass" | "leak"),
+            "{target}: unknown timing verdict {verdict:?}"
+        );
+        let required = match e.str_field("role").expect("role") {
+            "negative-control" => "pass",
+            "positive-control" => "leak",
+            other => panic!("{target}: unknown role {other:?}"),
+        };
+        assert_eq!(verdict, required, "{target}: control misbehaved");
+    }
     let surveyed: Vec<&str> = entries
         .iter()
         .filter_map(|e| e.str_field("target").ok()?.strip_prefix("mul/"))

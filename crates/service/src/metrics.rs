@@ -18,7 +18,6 @@
 //! path (bucket index is a leading-zeros computation).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use saber_testkit::json::Value;
 
@@ -220,10 +219,6 @@ pub struct Metrics {
     ops: [LatencyHistogram; 4],
     queue_wait: [LatencyHistogram; 4],
     execute: [LatencyHistogram; 4],
-    // The one mutex in the registry: engine labels are recorded once per
-    // worker at startup (and after a panic rebuild), never on the job
-    // hot path, so a lock is fine here where it would not be above.
-    engines: Mutex<Vec<String>>,
 }
 
 impl Metrics {
@@ -279,16 +274,6 @@ impl Metrics {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker shard came up on the named engine. Called once per
-    /// worker at pool startup, so the report records what actually
-    /// served traffic.
-    pub fn record_engine(&self, label: &str) {
-        self.engines
-            .lock()
-            .expect("engine label lock")
-            .push(label.to_string());
-    }
-
     /// Current completed-jobs count (cheap progress gauge).
     #[must_use]
     pub fn completed_count(&self) -> u64 {
@@ -298,12 +283,7 @@ impl Metrics {
     /// Snapshots every counter and histogram into a [`ServiceReport`].
     #[must_use]
     pub fn snapshot(&self, workers: usize, queue_capacity: usize, queue_depth: usize) -> ServiceReport {
-        // Sorted so the report is deterministic regardless of worker
-        // startup order (workers race to record their labels).
-        let mut engines = self.engines.lock().expect("engine label lock").clone();
-        engines.sort_unstable();
         ServiceReport {
-            engines,
             workers: workers as u64,
             queue_capacity: queue_capacity as u64,
             queue_depth: queue_depth as u64,
@@ -362,9 +342,6 @@ pub struct ServiceReport {
     pub steal_hits: u64,
     /// Jobs migrated between worker deques by stealing.
     pub stolen_jobs: u64,
-    /// Engine label each worker shard was built from (sorted; one entry
-    /// per worker startup).
-    pub engines: Vec<String>,
     /// Per-operation end-to-end (enqueue→completion) latency
     /// histograms, in [`OpKind::ALL`] order.
     pub ops: Vec<(OpKind, HistogramSnapshot)>,
@@ -443,15 +420,6 @@ impl ServiceReport {
             ("steal_hits".into(), int(self.steal_hits)),
             ("stolen_jobs".into(), int(self.stolen_jobs)),
             (
-                "engines".into(),
-                Value::Array(
-                    self.engines
-                        .iter()
-                        .map(|label| Value::Str(label.clone()))
-                        .collect(),
-                ),
-            ),
-            (
                 // The 15 finite edges as integers; the overflow bucket
                 // as the string "+Inf" — identical to the Prometheus
                 // `le` labels (see `bucket_edge_label`). The old
@@ -521,19 +489,6 @@ impl ServiceReport {
                 max_ns: field("max_ns")?,
             })
         }
-        let mut engines = Vec::new();
-        for entry in value
-            .get("engines")
-            .and_then(Value::as_array)
-            .ok_or("missing engines array")?
-        {
-            engines.push(
-                entry
-                    .as_str()
-                    .ok_or("engine label must be a string")?
-                    .to_string(),
-            );
-        }
         let mut ops = Vec::new();
         let mut queue_wait = Vec::new();
         let mut execute = Vec::new();
@@ -567,7 +522,6 @@ impl ServiceReport {
             steal_attempts: int("steal_attempts")?,
             steal_hits: int("steal_hits")?,
             stolen_jobs: int("stolen_jobs")?,
-            engines,
             ops,
             queue_wait,
             execute,
@@ -597,9 +551,6 @@ impl ServiceReport {
             self.failed,
             self.queue_high_water,
         );
-        if !self.engines.is_empty() {
-            line.push_str(&format!(" engines={}", self.engines.join(",")));
-        }
         if self.steal_attempts > 0 || self.steal_hits > 0 {
             line.push_str(&format!(
                 " steals[attempts={} hits={} moved={}]",
@@ -706,19 +657,6 @@ mod tests {
         let r = m.snapshot(1, 4, 0);
         assert_eq!(r.op(OpKind::Keygen).unwrap().total_ns, u64::MAX);
         assert_eq!(r.op(OpKind::Keygen).unwrap().max_ns, u64::MAX);
-    }
-
-    #[test]
-    fn engine_labels_are_recorded_sorted_and_survive_json() {
-        let m = Metrics::default();
-        m.record_engine("beta");
-        m.record_engine("alpha");
-        m.record_engine("alpha");
-        let r = m.snapshot(3, 8, 0);
-        assert_eq!(r.engines, ["alpha", "alpha", "beta"], "sorted snapshot");
-        let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
-        assert_eq!(back.engines, r.engines);
-        assert!(r.format_summary().contains("engines=alpha,alpha,beta"));
     }
 
     #[test]

@@ -19,12 +19,10 @@
 //!
 //! Each worker owns one multiplier shard built from [`EngineKind`] —
 //! the constant-time `ct` engine — the software analogue of the paper
-//! replicating a verified datapath per compute unit. The engine each
-//! shard was built from is recorded in the [`ServiceReport`] `engines`
-//! field. The shard is worker-local, so the hot path (the lane scan,
-//! Keccak) runs with **no lock held and no sharing**; the only
-//! synchronized structures are the O(1) queue operations and the
-//! one-shot result slots.
+//! replicating a verified datapath per compute unit. The shard is
+//! worker-local, so the hot path (the lane scan, Keccak) runs with
+//! **no lock held and no sharing**; the only synchronized structures
+//! are the O(1) queue operations and the one-shot result slots.
 //!
 //! ## Failure containment
 //!
@@ -596,7 +594,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn worker_loop(inner: &Inner, worker: usize) {
     let engine = EngineKind::default();
     let mut shard = engine.build();
-    inner.metrics.record_engine(engine.label());
     // Every steal/victim decision this worker makes is drawn from a
     // seeded stream: the pool seed mixed with the worker index
     // (SplitMix64-style odd-constant spread so adjacent workers do not

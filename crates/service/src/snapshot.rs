@@ -21,14 +21,15 @@
 //! decimal bounds + `"+Inf"`), and the exposition uses **cumulative**
 //! bucket counts as the `le` semantics require.
 //!
-//! Versioning: `SCHEMA_VERSION` is 4 (version 2 added the service
+//! Versioning: `SCHEMA_VERSION` is 5 (version 2 added the service
 //! report's steal counters; version 3 removed the `autotune` section
 //! along with the engine auto-tuner; version 4 removed the service
 //! report's degraded-admission counter along with the degrade overload
-//! policy). Parsers reject documents with a different version rather
-//! than guessing — additive fields bump the version, and a reader for
-//! version N refuses N+1 documents instead of silently dropping
-//! sections.
+//! policy; version 5 removed the per-shard `engines` labels and the
+//! `saber_engine_shards` family, which only ever read `ct`). Parsers
+//! reject documents with a different version rather than guessing —
+//! additive fields bump the version, and a reader for version N
+//! refuses N+1 documents instead of silently dropping sections.
 
 use saber_testkit::json::Value;
 
@@ -36,7 +37,7 @@ use crate::metrics::{bucket_edge_label, ServiceReport, BUCKET_COUNT};
 use crate::obs;
 
 /// Version of the snapshot document schema.
-pub const SCHEMA_VERSION: i64 = 4;
+pub const SCHEMA_VERSION: i64 = 5;
 
 /// Flight-recorder status at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -391,28 +392,6 @@ impl MetricsSnapshot {
             s.stolen_jobs,
         );
 
-        if !s.engines.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP saber_engine_shards Worker shards per resolved engine."
-            );
-            let _ = writeln!(out, "# TYPE saber_engine_shards gauge");
-            let mut seen: Vec<(String, u64)> = Vec::new();
-            for label in &s.engines {
-                match seen.iter_mut().find(|(l, _)| l == label) {
-                    Some((_, n)) => *n += 1,
-                    None => seen.push((label.clone(), 1)),
-                }
-            }
-            for (label, n) in seen {
-                let _ = writeln!(
-                    out,
-                    "saber_engine_shards{{engine=\"{}\"}} {n}",
-                    escape_label(&label)
-                );
-            }
-        }
-
         // The three latency histogram families, with cumulative buckets.
         for (family, help, side) in [
             (
@@ -754,7 +733,6 @@ mod tests {
 
     fn sample_snapshot() -> MetricsSnapshot {
         let m = Metrics::default();
-        m.record_engine("ct");
         m.record_completed(OpKind::Encaps, 1_000, 2_500);
         m.record_completed(OpKind::Decaps, 20_000_000, 999);
         MetricsSnapshot::new(m.snapshot(2, 8, 1))
@@ -796,11 +774,11 @@ mod tests {
     fn unknown_schema_version_is_refused() {
         let snap = sample_snapshot();
         let text = snap.to_json_string().replace(
-            "\"schema_version\": 4",
             "\"schema_version\": 5",
+            "\"schema_version\": 6",
         );
         let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
-        assert!(err.contains("unsupported snapshot schema version 5"), "{err}");
+        assert!(err.contains("unsupported snapshot schema version 6"), "{err}");
     }
 
     #[test]

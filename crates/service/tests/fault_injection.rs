@@ -158,7 +158,6 @@ fn mid_batch_panics_are_contained_counted_once_and_leak_nothing() {
     // orderly refusal, not lost capacity).
     assert_eq!(report.rejected, 1, "the QueueFull rejection");
     assert_eq!(report.queue_depth, 0, "shutdown drained the queue");
-    assert_eq!(report.engines.len(), WORKERS);
 
     // Zeroization: one wipe per drained decaps clone, one for the
     // rejected clone, one for the original. `>=` tolerates incidental

@@ -120,15 +120,6 @@ fn service_report_roundtrips_through_json() {
     let back = ServiceReport::from_json_str(&text).expect("parse own output");
     assert_eq!(back, report);
 
-    // Every worker recorded the engine its shard was built from, and
-    // the labels survive JSON.
-    assert_eq!(report.engines.len(), 2, "one label per worker");
-    for label in &report.engines {
-        assert_eq!(label, saber_ring::EngineKind::default().label());
-    }
-    assert!(text.contains("\"engines\""));
-    assert_eq!(back.engines, report.engines);
-
     // Derived fields in the document agree with the struct.
     let keygen = report.op(OpKind::Keygen).expect("keygen histogram");
     assert_eq!(keygen.count, 1);
@@ -161,7 +152,7 @@ fn malformed_reports_are_rejected_with_field_names() {
     let missing = ServiceReport::from_json_str("{\"report\": \"saber-service\"}")
         .expect_err("missing fields");
     assert!(
-        missing.contains("ops") || missing.contains("workers") || missing.contains("engines"),
+        missing.contains("ops") || missing.contains("workers"),
         "{missing}"
     );
 

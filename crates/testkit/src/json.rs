@@ -1,14 +1,17 @@
 //! A minimal JSON reader/writer for the workspace's structured
-//! artifacts: the golden-KAT files of `saber-verify` and the
-//! `ServiceReport` snapshots of `saber-service`.
+//! artifacts: the golden-KAT files of `saber-verify`, the
+//! `ServiceReport`/`MetricsSnapshot` documents of `saber-service`, and
+//! the committed `BENCH_*.json` reports, which `saber-bench`'s one
+//! report writer (`tables::BenchReport`) emits through [`write`] and
+//! its schema test reads back through [`parse`].
 //!
 //! The workspace is offline (no `serde`), and those schemas need only
 //! objects, arrays, strings, numbers and booleans. Objects preserve
 //! insertion order so generated files diff cleanly. Integers stay exact
 //! in `i64`; a number with a fraction or exponent parses as
-//! [`Value::Float`] (the `BENCH_*.json` reports carry measured
-//! `ns_per_*` rates), written back via Rust's shortest round-trip
-//! `f64` formatting.
+//! [`Value::Float`] (the bench reports carry measured `ns_per_*` rates),
+//! written back via Rust's shortest round-trip `f64` formatting, so a
+//! written float re-parses to the identical `f64`.
 
 use std::fmt;
 
